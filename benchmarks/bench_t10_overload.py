@@ -31,100 +31,36 @@ Run standalone with ``python -m benchmarks.bench_t10_overload``
 from __future__ import annotations
 
 import argparse
+import copy
 
 from repro.analysis.recovery import fault_recovery_report, summarize
-from repro.cluster.chaos import ZoneOutageDomain
-from repro.cluster.resources import ResourceVector
-from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
-from repro.scheduler.admission import SHED_CLASSES, OverloadConfig
-from repro.workloads.microservice import ServiceDemands
-from repro.workloads.plo import LatencyPLO
-from repro.workloads.traces import ConstantTrace, ScaledTrace
+from repro.platform.loader import platform_from_dict
+from repro.platform.presets import OVERLOAD
+from repro.scheduler.admission import SHED_CLASSES
 
-NODES = 6
-ZONES = 3
-SEED = 42
+SEED = OVERLOAD["seed"]
+NODES = OVERLOAD["cluster"]["nodes"]
+ZONES = OVERLOAD["cluster"]["zones"]
 DURATION = 1800.0
 #: Web offered load at 1×; demands are 100 rps/core so this is ~6 cores.
-BASE_RATE = 600.0
+BASE_RATE = OVERLOAD["workloads"][0]["trace"]["base"]["value"]
 LOAD_FACTORS = (1.0, 2.0, 4.0)
-#: Per-pod ceiling. Web starts at the rail so overload shows up as
-#: horizontal scale-out (pending pods the scheduler must place), which
-#: is the pressure admission control manages — not as node-blocked
-#: vertical resizes.
-POD_CEILING = ResourceVector(cpu=4, memory=16, disk_bw=200, net_bw=500)
-
-WEB_DEMANDS = ServiceDemands(
-    cpu_seconds=0.01, disk_mb=0.02, net_mb=0.05, base_latency=0.008
-)
-FILLER_DEMANDS = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
 
 
-def _overload(enabled: bool) -> OverloadConfig:
-    # Watermarks tuned to this topology: fillers strand ~3 cores per
-    # node, so node pressure saturates near 0.8 and a 4x surge shows up
-    # mostly as pending-queue depth.
-    return OverloadConfig(
-        admission=enabled, backpressure=enabled, brownout=enabled,
-        high_watermark=0.8, low_watermark=0.65, pending_high=12,
-    )
-
-
-def _build(*, factor: float, resilient: bool, seed: int = SEED) -> EvolvePlatform:
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=NODES, zones=ZONES),
-        config=PlatformConfig(
-            seed=seed,
-            overload=_overload(resilient),
-            max_allocation=POD_CEILING,
-        ),
-        scheduler="converged",
-        policy="adaptive",
-    )
+def _config(
+    *, factor: float, resilient: bool, duration: float, faults=()
+) -> dict:
+    """The shared R-T10 scenario (:data:`repro.platform.presets.OVERLOAD`)
+    at ``factor``× web load, with the overload stack on or off."""
+    config = copy.deepcopy(OVERLOAD)
     # The latency-sensitive service under test: its offered load is the
     # swept axis; everything else in the mix stays fixed.
-    platform.deploy_microservice(
-        "web",
-        trace=ScaledTrace(ConstantTrace(BASE_RATE), factor),
-        demands=WEB_DEMANDS,
-        allocation=ResourceVector(cpu=4, memory=4, disk_bw=20, net_bw=40),
-        plo=LatencyPLO(0.05, window=30),
-        replicas=2,
-    )
-    # A stream-class consumer: protected like latency work, never shed.
-    platform.deploy_microservice(
-        "stream",
-        trace=ConstantTrace(300.0),
-        demands=FILLER_DEMANDS,
-        allocation=ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40),
-        plo=LatencyPLO(0.08, window=30),
-        labels={"shed-class": "stream"},
-    )
-    # Unmanaged fillers sized to claim the cluster's spare room, so the
-    # web service's 4× scale-out has nowhere to go unless the admission
-    # controller reclaims it from the sheddable tiers.
-    for i in range(3):
-        platform.deploy_microservice(
-            f"batch-{i}",
-            trace=ConstantTrace(200.0),
-            demands=FILLER_DEMANDS,
-            allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
-            replicas=3,
-            managed=False,
-            labels={"shed-class": "batch"},
-        )
-    for i in range(3):
-        platform.deploy_microservice(
-            f"be-{i}",
-            trace=ConstantTrace(150.0),
-            demands=FILLER_DEMANDS,
-            allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
-            replicas=3,
-            managed=False,
-            labels={"shed-class": "best-effort"},
-        )
-    return platform
+    config["workloads"][0]["trace"]["factor"] = factor
+    for flag in ("admission", "backpressure", "brownout"):
+        config["overload"][flag] = resilient
+    config.update(duration=duration, faults=list(faults))
+    return config
 
 
 def _goodput(platform: EvolvePlatform, factor: float, duration: float) -> float:
@@ -136,7 +72,9 @@ def _goodput(platform: EvolvePlatform, factor: float, duration: float) -> float:
 def _run_point(
     *, factor: float, resilient: bool, duration: float
 ) -> dict:
-    platform = _build(factor=factor, resilient=resilient)
+    platform, _ = platform_from_dict(
+        _config(factor=factor, resilient=resilient, duration=duration)
+    )
     platform.run(duration)
     web = platform.apps["web"]
     admission = platform.admission
@@ -160,14 +98,11 @@ def _run_point(
 
 def _run_zone_outage(*, duration: float) -> dict:
     """Resilient build riding out a five-minute zone outage at 2× load."""
-    platform = _build(factor=2.0, resilient=True)
-    dom = ZoneOutageDomain(platform.injector, log=platform.fault_log)
-    strike_at = duration / 3.0
-    heal_at = strike_at + 300.0
-    token: list = []
-
-    platform.engine.schedule(strike_at, lambda: token.append(dom.strike_zone("z0")))
-    platform.engine.schedule(heal_at, lambda: dom.heal(token[0]))
+    outage = {"domain": "zone-outage", "at": duration / 3.0,
+              "duration": 300.0, "target": 0}
+    platform, _ = platform_from_dict(
+        _config(factor=2.0, resilient=True, duration=duration, faults=[outage])
+    )
     platform.run(duration)
     platform.result()  # closes any danglers before the recovery report
 
@@ -177,10 +112,10 @@ def _run_zone_outage(*, duration: float) -> dict:
         kinds=("zone-outage",),
     ))
     # Containment: the outage fails exactly one zone's worth of nodes.
-    failed_peak = int(episode.detail.split("nodes=")[1].split()[0])
+    blast = dict(field.split("=") for field in episode.detail.split())
     return {
-        "zone_nodes_failed": failed_peak,
-        "pods_displaced": dom.pods_displaced,
+        "zone_nodes_failed": int(blast["nodes"]),
+        "pods_displaced": int(blast["pods_displaced"]),
         "mttr_s": stats.max_mttr,
         "time_to_recover_s": stats.max_reconvergence,
         "unconverged": stats.unconverged,

@@ -32,158 +32,37 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cluster.pod import PodPhase, WorkloadClass
-from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
-from repro.platform.config import ClusterSpec, PlatformConfig
-from repro.platform.evolve import EvolvePlatform
-from repro.storage.placement import spread_blocks
-from repro.workloads.bigdata import Stage
-from repro.workloads.plo import LatencyPLO
-from repro.workloads.stream import Operator
-from repro.workloads.traces import ConstantTrace
+from repro.platform.loader import platform_from_dict
+from repro.platform.presets import DATA_FAULT, fault_cycle
 
-NODES = 6
-SEED = 47
+SEED = DATA_FAULT["seed"]
 DURATION = 1800.0
-#: Fault levels: seconds between consecutive faults (None = no faults).
+#: Fault levels: seconds between consecutive faults (None = no faults),
+#: cycling :data:`repro.platform.presets.FAULT_CYCLE`.
 LEVELS: dict[str, float | None] = {
     "calm": None,
     "moderate": 240.0,
     "harsh": 120.0,
 }
-#: Injected fault kinds, cycled in order at the level's period. Crash
-#: before data-loss so mid-job node loss (the lineage trigger) lands
-#: while the analytics job is still running.
-FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
-#: How long a crashed node stays dark / a straggler stays slow.
-CRASH_OUTAGE = 60.0
-STRAGGLER_WINDOW = 120.0
-STRAGGLER_FACTOR = 0.5
-
-DATASET = "t11-data"
-DATASET_MB = 2400.0
-JOB_ALLOC = ResourceVector(cpu=2, memory=4, disk_bw=100, net_bw=100)
-STREAM_ALLOC = ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40)
-STREAM_RATE = 150.0
 
 
-def _build(*, ft: bool, seed: int = SEED) -> EvolvePlatform:
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=NODES),
-        config=PlatformConfig(
-            seed=seed,
-            data_plane=DataPlaneConfig(enabled=ft),
-        ),
-        scheduler="converged",
-        policy="adaptive",
-    )
-    nodes = sorted(platform.cluster.nodes)
-    spread_blocks(
-        platform.store,
-        DATASET,
-        total_mb=DATASET_MB,
-        block_mb=100.0,
-        nodes=nodes[:3],
-        replication=2,
-    )
-    platform.submit_bigdata(
-        "t11-job",
-        stages=[
-            Stage("scan", 360.0, input_mb=DATASET_MB),
-            Stage("agg", 240.0, input_mb=DATASET_MB / 10, deps=("scan",)),
-        ],
-        allocation=JOB_ALLOC,
-        executors=3,
-        dataset=DATASET,
-    )
-    platform.deploy_stream(
-        "t11-stream",
-        trace=ConstantTrace(STREAM_RATE),
-        operators=[Operator("parse", 0.004), Operator("agg", 0.002)],
-        allocation=STREAM_ALLOC,
-        plo=LatencyPLO(5.0, window=30),
-        workers=2,
-    )
-    return platform
-
-
-def _schedule_faults(
-    platform: EvolvePlatform, period: float | None, duration: float
-) -> None:
-    """Deterministic fault schedule: one fault per ``period`` seconds,
-    cycling :data:`FAULT_CYCLE`. Targets are picked by a running strike
-    counter over sorted candidate lists, so the schedule is a pure
-    function of the scenario — no RNG draws, both builds see the exact
-    same faults.
-    """
-    if period is None:
-        return
-    engine = platform.engine
-    strikes = iter(range(10_000))
-
-    def executor_kill() -> None:
-        victims = sorted(
-            pod.name
-            for pod in platform.cluster.pods.values()
-            if pod.phase is PodPhase.RUNNING
-            and pod.spec.workload_class is WorkloadClass.BIGDATA
-        )
-        if victims:
-            k = next(strikes)
-            platform.cluster.evict(
-                victims[k % len(victims)], reason="executor-kill"
-            )
-
-    def crash() -> None:
-        healthy = [n.name for n in platform.injector.healthy_nodes()]
-        if len(healthy) <= 2:
-            return
-        name = healthy[next(strikes) % len(healthy)]
-        platform.injector.fail_node(name)
-        engine.schedule(CRASH_OUTAGE, lambda: _recover(name))
-
-    def _recover(name: str) -> None:
-        if platform.injector.is_failed(name):
-            platform.injector.recover_node(name)
-
-    def data_loss() -> None:
-        bearing = sorted(platform.store.nodes_with_data())
-        if bearing:
-            platform.store.drop_node(bearing[next(strikes) % len(bearing)])
-
-    def straggler() -> None:
-        nodes = [
-            n
-            for n in platform.cluster.nodes.values()
-            if n.speed_factor >= 1.0 and not n.allocatable.is_zero()
-        ]
-        if not nodes:
-            return
-        node = nodes[next(strikes) % len(nodes)]
-        node.speed_factor = STRAGGLER_FACTOR
-        engine.schedule(STRAGGLER_WINDOW, lambda: _heal(node.name))
-
-    def _heal(name: str) -> None:
-        platform.cluster.get_node(name).speed_factor = 1.0
-
-    kinds = {
-        "executor-kill": executor_kill,
-        "crash": crash,
-        "data-loss": data_loss,
-        "straggler": straggler,
+def _config(*, level: str, ft: bool, duration: float) -> dict:
+    """The shared R-T11 scenario (:data:`repro.platform.presets.DATA_FAULT`)
+    with fault tolerance on or off under ``level``'s fault schedule —
+    the same faults for both builds."""
+    period = LEVELS[level]
+    return {
+        **DATA_FAULT,
+        "duration": duration,
+        "data_plane": {"enabled": ft},
+        "faults": [] if period is None else fault_cycle(period, duration),
     }
-    at = 60.0
-    i = 0
-    while at < duration - CRASH_OUTAGE:
-        engine.schedule_at(at, kinds[FAULT_CYCLE[i % len(FAULT_CYCLE)]])
-        at += period
-        i += 1
 
 
 def _run_cell(*, level: str, ft: bool, duration: float) -> dict:
-    platform = _build(ft=ft)
-    _schedule_faults(platform, LEVELS[level], duration)
+    platform, _ = platform_from_dict(
+        _config(level=level, ft=ft, duration=duration)
+    )
     platform.run(duration)
     job = platform.apps["t11-job"]
     stream = platform.apps["t11-stream"]

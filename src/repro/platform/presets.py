@@ -7,7 +7,10 @@ an installed distribution (the ``benchmarks/`` package only exists in a
 source checkout) and guarantees both surfaces exercise bit-identical
 platforms.
 
-Three presets, each mirroring an EXPERIMENTS.md scenario:
+Every preset is a loader config (:mod:`repro.platform.loader`), built by
+:func:`repro.platform.loader.platform_from_dict` like any other
+scenario. :data:`OVERLOAD` and :data:`DATA_FAULT` are also the R-T10 and
+R-T11 benchmark scenarios; the benchmarks change only their swept field.
 
 * ``calm`` — the R-F5 control-plane mix at four services: diurnal load,
   no faults, no overload. Every SLO should attain 100 % and no
@@ -28,349 +31,289 @@ telemetry-off counterparts in the source benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.cluster.pod import PodPhase, WorkloadClass
-from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
-from repro.obs.slo import SLOSpec
-from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
-from repro.scheduler.admission import OverloadConfig
-from repro.storage.placement import spread_blocks
-from repro.workloads.bigdata import Stage
-from repro.workloads.microservice import ServiceDemands
-from repro.workloads.plo import LatencyPLO
-from repro.workloads.stream import Operator
-from repro.workloads.traces import ConstantTrace, DiurnalTrace, ScaledTrace
+from repro.platform.loader import platform_from_dict
+
+# -- calm: the R-F5 service mix, no faults -----------------------------------
+
+CALM: dict = {
+    "seed": 3,
+    "cluster": {"nodes": 4},
+    "workloads": [
+        {
+            "kind": "micro",
+            "name": f"svc-{i}",
+            "trace": {"kind": "diurnal", "base": 60, "amplitude": 40,
+                      "period": 3600.0, "phase": i * 120.0},
+            "demands": {"cpu_seconds": 0.008, "disk_mb": 0.1,
+                        "net_mb": 0.05, "base_latency": 0.01},
+            "allocation": {"cpu": 0.6, "memory": 1, "disk_bw": 15,
+                           "net_bw": 15},
+            "plo": {"kind": "latency", "target": 0.06, "window": 30},
+        }
+        for i in range(4)
+    ],
+}
+
+_CALM_SLOS = [
+    {
+        "name": "svc_latency",
+        "series": "app/svc-0/latency",
+        # The PLO is 60 ms; the SLO adds headroom for the adaptive
+        # policy's small diurnal-peak excursions (~62 ms), which the
+        # PLO tracker owns — the SLO watches for real degradation.
+        "objective": 0.07,
+        "comparator": "le",
+        "target": 0.99,
+        "warmup": 120.0,
+        "kind": "latency",
+        "description": "svc-0 latency within 70 ms (PLO + margin)",
+    },
+]
+
+
+# -- overload: the R-T10 resilient build at 4x -------------------------------
+
+_FILLER_DEMANDS = {"cpu_seconds": 0.01, "base_latency": 0.01}
+
+#: R-T10: a latency-sensitive web service (offered load 600 rps × the
+#: swept factor; demands are 100 rps/core) on a cluster whose spare room
+#: is claimed by batch and best-effort fillers. Web starts at the
+#: per-pod ceiling (``max_allocation``) so overload shows up as
+#: horizontal scale-out — pending pods the admission controller manages.
+#: Watermarks are tuned to this topology: fillers strand ~3 cores per
+#: node, so node pressure saturates near 0.8 and a 4x surge shows up
+#: mostly as pending-queue depth.
+OVERLOAD: dict = {
+    "seed": 42,
+    "cluster": {"nodes": 6, "zones": 3},
+    "overload": {
+        "admission": True, "backpressure": True, "brownout": True,
+        "high_watermark": 0.8, "low_watermark": 0.65, "pending_high": 12,
+    },
+    "max_allocation": {"cpu": 4, "memory": 16, "disk_bw": 200, "net_bw": 500},
+    "workloads": [
+        {
+            "kind": "micro",
+            "name": "web",
+            "trace": {"kind": "scaled",
+                      "base": {"kind": "constant", "value": 600.0},
+                      "factor": 4.0},
+            "demands": {"cpu_seconds": 0.01, "disk_mb": 0.02,
+                        "net_mb": 0.05, "base_latency": 0.008},
+            "allocation": {"cpu": 4, "memory": 4, "disk_bw": 20, "net_bw": 40},
+            "plo": {"kind": "latency", "target": 0.05, "window": 30},
+            "replicas": 2,
+        },
+        # A stream-class consumer: protected like latency work, never shed.
+        {
+            "kind": "micro",
+            "name": "stream",
+            "trace": {"kind": "constant", "value": 300.0},
+            "demands": _FILLER_DEMANDS,
+            "allocation": {"cpu": 1.5, "memory": 2, "disk_bw": 10,
+                           "net_bw": 40},
+            "plo": {"kind": "latency", "target": 0.08, "window": 30},
+            "labels": {"shed-class": "stream"},
+        },
+    ] + [
+        # Unmanaged fillers sized to claim the cluster's spare room, so
+        # the web service's 4× scale-out has nowhere to go unless the
+        # admission controller reclaims it from the sheddable tiers.
+        {
+            "kind": "micro",
+            "name": f"{prefix}-{i}",
+            "trace": {"kind": "constant", "value": rate},
+            "demands": _FILLER_DEMANDS,
+            "allocation": {"cpu": 4, "memory": 4, "disk_bw": 10, "net_bw": 20},
+            "replicas": 3,
+            "managed": False,
+            "labels": {"shed-class": shed_class},
+        }
+        for prefix, rate, shed_class in (
+            ("batch", 200.0, "batch"),
+            ("be", 150.0, "best-effort"),
+        )
+        for i in range(3)
+    ],
+}
+
+_OVERLOAD_SLOS = [
+    {
+        "name": "web_latency",
+        "series": "app/web/latency",
+        "objective": 0.05,
+        "comparator": "le",
+        "target": 0.95,
+        "warmup": 120.0,
+        "kind": "latency",
+        "description": "web latency at or under the 50 ms PLO",
+    },
+    {
+        "name": "shed_free",
+        "series": "ctrl/sched/latch_active",
+        "objective": 0.0,
+        "comparator": "le",
+        "target": 0.9,
+        "warmup": 120.0,
+        "kind": "goodput",
+        "description": "admission latch disengaged (no load shedding)",
+    },
+    {
+        "name": "brownout_free",
+        "series": "ctrl/sched/brownout/active",
+        "objective": 0.0,
+        "comparator": "le",
+        "target": 0.9,
+        "warmup": 120.0,
+        "kind": "goodput",
+        "description": "no service running in a browned-out tier",
+    },
+]
+
+
+# -- data-fault: the R-T11 ft build under the harsh schedule -----------------
+
+#: R-T11: a two-stage analytics job reading a replicated dataset (on the
+#: first three nodes) plus a continuous stream pipeline, with data-plane
+#: fault tolerance armed. Faults come from :func:`fault_cycle`.
+DATA_FAULT: dict = {
+    "seed": 47,
+    "cluster": {"nodes": 6},
+    "data_plane": {"enabled": True},
+    "workloads": [
+        {
+            "kind": "bigdata",
+            "name": "t11-job",
+            "stages": [
+                {"name": "scan", "work": 360.0, "input_mb": 2400.0},
+                {"name": "agg", "work": 240.0, "input_mb": 2400.0 / 10,
+                 "deps": ["scan"]},
+            ],
+            "allocation": {"cpu": 2, "memory": 4, "disk_bw": 100,
+                           "net_bw": 100},
+            "executors": 3,
+            "dataset": {"name": "t11-data", "total_mb": 2400.0,
+                        "block_mb": 100.0, "nodes": 3, "replication": 2},
+        },
+        {
+            "kind": "stream",
+            "name": "t11-stream",
+            "trace": {"kind": "constant", "value": 150.0},
+            "operators": [
+                {"name": "parse", "cpu_seconds": 0.004},
+                {"name": "agg", "cpu_seconds": 0.002},
+            ],
+            "allocation": {"cpu": 1.5, "memory": 2, "disk_bw": 10,
+                           "net_bw": 40},
+            "plo": {"kind": "latency", "target": 5.0, "window": 30},
+            "workers": 2,
+        },
+    ],
+}
+
+#: Injected fault kinds, cycled in order. Crash before data-loss so
+#: mid-job node loss (the lineage trigger) lands while the analytics job
+#: is still running.
+FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
+#: How long a crashed node stays dark / a straggler stays slow.
+_FAULT_WINDOW = {"crash": 60.0, "straggler": 120.0}
+_STRAGGLER_FACTOR = 0.5
+
+_DATAFAULT_SLOS = [
+    {
+        "name": "stream_lag",
+        "series": "ctrl/dp/stream/lag_events",
+        # A checkpoint restart replays ~750-1000 events before the
+        # backlog drains; anything over ~3 s of arrivals counts as burn.
+        "objective": 500.0,
+        "comparator": "le",
+        "target": 0.9,
+        "warmup": 120.0,
+        "kind": "lag",
+        "description": "stream backlog under ~3 s of arrivals (500 events)",
+    },
+    {
+        "name": "repair_backlog",
+        "series": "ctrl/store/repair_backlog",
+        "objective": 0.0,
+        "comparator": "le",
+        "target": 0.9,
+        "warmup": 120.0,
+        "kind": "repair_backlog",
+        "description": "no under-replicated objects awaiting repair",
+    },
+]
+
+
+def fault_cycle(period: float, duration: float) -> list[dict]:
+    """The R-T11 deterministic fault schedule as loader ``faults``.
+
+    One fault every ``period`` seconds from t=60 s, cycling
+    :data:`FAULT_CYCLE`, until one crash outage before ``duration``.
+    Fault *i* targets candidate *i* of its domain's sorted candidate
+    list — a pure function of the scenario, no RNG draws, so every build
+    sees the exact same faults.
+    """
+    faults: list[dict] = []
+    at = 60.0
+    while at < duration - _FAULT_WINDOW["crash"]:
+        domain = FAULT_CYCLE[len(faults) % len(FAULT_CYCLE)]
+        fault = {
+            "domain": domain,
+            "at": at,
+            "duration": _FAULT_WINDOW.get(domain, 0.0),
+            "target": len(faults),
+        }
+        if domain == "straggler":
+            fault["factor"] = _STRAGGLER_FACTOR
+        faults.append(fault)
+        at += period
+    return faults
 
 
 @dataclass(frozen=True)
 class ScenarioPreset:
-    """One named scenario: a builder plus its default horizon."""
+    """One named scenario: a loader config plus its default horizon."""
 
     name: str
     description: str
     duration: float
     seed: int
-    #: ``build(duration, seed) -> platform`` with SLOs attached and any
-    #: fault schedule already on the engine calendar.
-    build: Callable[[float, int], EvolvePlatform]
+    #: Loader config with SLOs attached; ``duration``/``seed`` are set
+    #: per build.
+    config: dict
+    #: Seconds between R-T11 cycle faults (:func:`fault_cycle`), which
+    #: depend on the horizon; None = no fault schedule.
+    fault_period: float | None = None
 
 
-# -- calm: the R-F5 service mix, no faults -----------------------------------
-
-_CALM_SEED = 3
-_CALM_SLOS = (
-    SLOSpec(
-        name="svc_latency",
-        series="app/svc-0/latency",
-        # The PLO is 60 ms; the SLO adds headroom for the adaptive
-        # policy's small diurnal-peak excursions (~62 ms), which the
-        # PLO tracker owns — the SLO watches for real degradation.
-        objective=0.07,
-        comparator="le",
-        target=0.99,
-        warmup=120.0,
-        kind="latency",
-        description="svc-0 latency within 70 ms (PLO + margin)",
-    ),
-)
-
-
-def _build_calm(duration: float, seed: int) -> EvolvePlatform:
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=4),
-        config=PlatformConfig(seed=seed, telemetry=True, slos=_CALM_SLOS),
-        scheduler="converged",
-        policy="adaptive",
+def _preset(
+    name: str, description: str, duration: float, base: dict, slos: list,
+    fault_period: float | None = None,
+) -> ScenarioPreset:
+    return ScenarioPreset(
+        name=name,
+        description=description,
+        duration=duration,
+        seed=base["seed"],
+        config={**base, "telemetry": True, "slos": slos},
+        fault_period=fault_period,
     )
-    for i in range(4):
-        platform.deploy_microservice(
-            f"svc-{i}",
-            trace=DiurnalTrace(base=60, amplitude=40, period=3600.0,
-                               phase=i * 120.0),
-            demands=ServiceDemands(cpu_seconds=0.008, disk_mb=0.1,
-                                   net_mb=0.05, base_latency=0.01),
-            allocation=ResourceVector(cpu=0.6, memory=1, disk_bw=15,
-                                      net_bw=15),
-            plo=LatencyPLO(0.06, window=30),
-        )
-    return platform
-
-
-# -- overload: the R-T10 resilient build at 4x -------------------------------
-
-_OVERLOAD_SEED = 42
-_OVERLOAD_FACTOR = 4.0
-_OVERLOAD_BASE_RATE = 600.0
-_OVERLOAD_SLOS = (
-    SLOSpec(
-        name="web_latency",
-        series="app/web/latency",
-        objective=0.05,
-        comparator="le",
-        target=0.95,
-        warmup=120.0,
-        kind="latency",
-        description="web latency at or under the 50 ms PLO",
-    ),
-    SLOSpec(
-        name="shed_free",
-        series="ctrl/sched/latch_active",
-        objective=0.0,
-        comparator="le",
-        target=0.9,
-        warmup=120.0,
-        kind="goodput",
-        description="admission latch disengaged (no load shedding)",
-    ),
-    SLOSpec(
-        name="brownout_free",
-        series="ctrl/sched/brownout/active",
-        objective=0.0,
-        comparator="le",
-        target=0.9,
-        warmup=120.0,
-        kind="goodput",
-        description="no service running in a browned-out tier",
-    ),
-)
-
-
-def _build_overload(duration: float, seed: int) -> EvolvePlatform:
-    web_demands = ServiceDemands(cpu_seconds=0.01, disk_mb=0.02,
-                                 net_mb=0.05, base_latency=0.008)
-    filler = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=6, zones=3),
-        config=PlatformConfig(
-            seed=seed,
-            telemetry=True,
-            slos=_OVERLOAD_SLOS,
-            overload=OverloadConfig(
-                admission=True, backpressure=True, brownout=True,
-                high_watermark=0.8, low_watermark=0.65, pending_high=12,
-            ),
-            max_allocation=ResourceVector(cpu=4, memory=16, disk_bw=200,
-                                          net_bw=500),
-        ),
-        scheduler="converged",
-        policy="adaptive",
-    )
-    platform.deploy_microservice(
-        "web",
-        trace=ScaledTrace(ConstantTrace(_OVERLOAD_BASE_RATE),
-                          _OVERLOAD_FACTOR),
-        demands=web_demands,
-        allocation=ResourceVector(cpu=4, memory=4, disk_bw=20, net_bw=40),
-        plo=LatencyPLO(0.05, window=30),
-        replicas=2,
-    )
-    platform.deploy_microservice(
-        "stream",
-        trace=ConstantTrace(300.0),
-        demands=filler,
-        allocation=ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40),
-        plo=LatencyPLO(0.08, window=30),
-        labels={"shed-class": "stream"},
-    )
-    for i in range(3):
-        platform.deploy_microservice(
-            f"batch-{i}",
-            trace=ConstantTrace(200.0),
-            demands=filler,
-            allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
-            replicas=3,
-            managed=False,
-            labels={"shed-class": "batch"},
-        )
-    for i in range(3):
-        platform.deploy_microservice(
-            f"be-{i}",
-            trace=ConstantTrace(150.0),
-            demands=filler,
-            allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
-            replicas=3,
-            managed=False,
-            labels={"shed-class": "best-effort"},
-        )
-    return platform
-
-
-# -- data-fault: the R-T11 ft build under the harsh schedule -----------------
-
-_DATAFAULT_SEED = 47
-_DATAFAULT_PERIOD = 120.0
-_DATAFAULT_DATASET = "t11-data"
-_DATAFAULT_DATASET_MB = 2400.0
-_DATAFAULT_STREAM_RATE = 150.0
-_FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
-_CRASH_OUTAGE = 60.0
-_STRAGGLER_WINDOW = 120.0
-_STRAGGLER_FACTOR = 0.5
-_DATAFAULT_SLOS = (
-    SLOSpec(
-        name="stream_lag",
-        series="ctrl/dp/stream/lag_events",
-        # A checkpoint restart replays ~750-1000 events before the
-        # backlog drains; anything over ~3 s of arrivals counts as burn.
-        objective=500.0,
-        comparator="le",
-        target=0.9,
-        warmup=120.0,
-        kind="lag",
-        description="stream backlog under ~3 s of arrivals (500 events)",
-    ),
-    SLOSpec(
-        name="repair_backlog",
-        series="ctrl/store/repair_backlog",
-        objective=0.0,
-        comparator="le",
-        target=0.9,
-        warmup=120.0,
-        kind="repair_backlog",
-        description="no under-replicated objects awaiting repair",
-    ),
-)
-
-
-def _schedule_datafault_faults(
-    platform: EvolvePlatform, period: float, duration: float
-) -> None:
-    """The R-T11 deterministic fault schedule: one fault per ``period``
-    seconds cycling executor kills, node crashes, data loss, and
-    stragglers. Targets come from a running strike counter over sorted
-    candidates — a pure function of the scenario, no RNG draws.
-    """
-    engine = platform.engine
-    strikes = iter(range(10_000))
-
-    def executor_kill() -> None:
-        victims = sorted(
-            pod.name
-            for pod in platform.cluster.pods.values()
-            if pod.phase is PodPhase.RUNNING
-            and pod.spec.workload_class is WorkloadClass.BIGDATA
-        )
-        if victims:
-            k = next(strikes)
-            platform.cluster.evict(
-                victims[k % len(victims)], reason="executor-kill"
-            )
-
-    def crash() -> None:
-        healthy = [n.name for n in platform.injector.healthy_nodes()]
-        if len(healthy) <= 2:
-            return
-        name = healthy[next(strikes) % len(healthy)]
-        platform.injector.fail_node(name)
-        engine.schedule(_CRASH_OUTAGE, lambda: _recover(name))
-
-    def _recover(name: str) -> None:
-        if platform.injector.is_failed(name):
-            platform.injector.recover_node(name)
-
-    def data_loss() -> None:
-        bearing = sorted(platform.store.nodes_with_data())
-        if bearing:
-            platform.store.drop_node(bearing[next(strikes) % len(bearing)])
-
-    def straggler() -> None:
-        nodes = [
-            n
-            for n in platform.cluster.nodes.values()
-            if n.speed_factor >= 1.0 and not n.allocatable.is_zero()
-        ]
-        if not nodes:
-            return
-        node = nodes[next(strikes) % len(nodes)]
-        node.speed_factor = _STRAGGLER_FACTOR
-        engine.schedule(_STRAGGLER_WINDOW, lambda: _heal(node.name))
-
-    def _heal(name: str) -> None:
-        platform.cluster.get_node(name).speed_factor = 1.0
-
-    kinds = {
-        "executor-kill": executor_kill,
-        "crash": crash,
-        "data-loss": data_loss,
-        "straggler": straggler,
-    }
-    at = 60.0
-    i = 0
-    while at < duration - _CRASH_OUTAGE:
-        engine.schedule_at(at, kinds[_FAULT_CYCLE[i % len(_FAULT_CYCLE)]])
-        at += period
-        i += 1
-
-
-def _build_datafault(duration: float, seed: int) -> EvolvePlatform:
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=6),
-        config=PlatformConfig(
-            seed=seed,
-            telemetry=True,
-            slos=_DATAFAULT_SLOS,
-            data_plane=DataPlaneConfig(enabled=True),
-        ),
-        scheduler="converged",
-        policy="adaptive",
-    )
-    nodes = sorted(platform.cluster.nodes)
-    spread_blocks(
-        platform.store,
-        _DATAFAULT_DATASET,
-        total_mb=_DATAFAULT_DATASET_MB,
-        block_mb=100.0,
-        nodes=nodes[:3],
-        replication=2,
-    )
-    platform.submit_bigdata(
-        "t11-job",
-        stages=[
-            Stage("scan", 360.0, input_mb=_DATAFAULT_DATASET_MB),
-            Stage("agg", 240.0, input_mb=_DATAFAULT_DATASET_MB / 10,
-                  deps=("scan",)),
-        ],
-        allocation=ResourceVector(cpu=2, memory=4, disk_bw=100, net_bw=100),
-        executors=3,
-        dataset=_DATAFAULT_DATASET,
-    )
-    platform.deploy_stream(
-        "t11-stream",
-        trace=ConstantTrace(_DATAFAULT_STREAM_RATE),
-        operators=[Operator("parse", 0.004), Operator("agg", 0.002)],
-        allocation=ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40),
-        plo=LatencyPLO(5.0, window=30),
-        workers=2,
-    )
-    _schedule_datafault_faults(platform, _DATAFAULT_PERIOD, duration)
-    return platform
 
 
 PRESETS: dict[str, ScenarioPreset] = {
-    "calm": ScenarioPreset(
-        name="calm",
-        description="R-F5 service mix, no faults: 100% attainment baseline",
-        duration=1800.0,
-        seed=_CALM_SEED,
-        build=_build_calm,
-    ),
-    "overload": ScenarioPreset(
-        name="overload",
-        description="R-T10 resilient build at 4x load: shed/brownout burn",
-        duration=900.0,
-        seed=_OVERLOAD_SEED,
-        build=_build_overload,
-    ),
-    "data-fault": ScenarioPreset(
-        name="data-fault",
-        description="R-T11 ft build, harsh fault schedule: lag/repair burn",
-        duration=900.0,
-        seed=_DATAFAULT_SEED,
-        build=_build_datafault,
-    ),
+    preset.name: preset
+    for preset in (
+        _preset("calm", "R-F5 service mix, no faults: 100% attainment "
+                "baseline", 1800.0, CALM, _CALM_SLOS),
+        _preset("overload", "R-T10 resilient build at 4x load: "
+                "shed/brownout burn", 900.0, OVERLOAD, _OVERLOAD_SLOS),
+        _preset("data-fault", "R-T11 ft build, harsh fault schedule: "
+                "lag/repair burn", 900.0, DATA_FAULT, _DATAFAULT_SLOS,
+                fault_period=120.0),
+    )
 }
 
 
@@ -393,5 +336,11 @@ def build_scenario(
             f"{', '.join(sorted(PRESETS))})"
         ) from None
     horizon = preset.duration if duration is None else duration
-    run_seed = preset.seed if seed is None else seed
-    return preset.build(horizon, run_seed), horizon
+    config = {
+        **preset.config,
+        "duration": horizon,
+        "seed": preset.seed if seed is None else seed,
+    }
+    if preset.fault_period is not None:
+        config["faults"] = fault_cycle(preset.fault_period, horizon)
+    return platform_from_dict(config)

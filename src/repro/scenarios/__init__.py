@@ -3,8 +3,10 @@
 Each ``*.json`` file in this package is a named, replayable scenario in
 the fuzzer's :class:`~repro.verify.fuzzer.ScenarioSpec` repro format
 (``format`` 3 or 4), plus pack metadata keys (``name``, ``description``,
-``tags``, ``pack_version``) which the spec loader ignores. One file,
-three consumers:
+``tags``, ``pack_version``) which the spec loader ignores. Every build
+goes through the scenario loader: ``spec.to_config()`` is a plain
+:mod:`repro.platform.loader` config, so each entry can also be written
+out as JSON and run with ``repro run``. One file, three consumers:
 
 * the arena (``repro arena``) replays every pack entry under every
   registered autoscaler policy and scores the result;

@@ -15,8 +15,14 @@ episode itself draws only from the platform's own registry seeded with
 every machine, and a repro file replays the same run that failed (see
 docs/testing.md for the seed-derivation scheme).
 
-Chaos is scheduled *explicitly* (strike at ``at``, heal at
-``at + duration``) rather than through the Poisson
+Every build goes through the scenario loader:
+:meth:`ScenarioSpec.to_config` turns a spec into plain loader data and
+:func:`build_platform` hands it to
+:func:`repro.platform.loader.platform_from_dict`, so a fuzz or pack
+scenario is also a config ``repro run`` can take.
+
+Chaos is scheduled *explicitly* (the loader's ``faults`` list: strike
+at ``at``, heal at ``at + duration``) rather than through the Poisson
 :class:`~repro.cluster.chaos.ChaosMonkey`, so dropping one chaos event
 during shrinking does not shift the timing of the others. Targets are
 stored as integers and resolved against the candidate list at strike
@@ -28,37 +34,15 @@ healthy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.cluster.chaos import ZoneOutageDomain
 from repro.cluster.events import PodScheduled
-from repro.cluster.pod import PodPhase, WorkloadClass
-from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
-from repro.platform.config import ClusterSpec, OverloadConfig, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
+from repro.platform.loader import platform_from_dict
 from repro.sim.rng import RngRegistry
-from repro.storage.placement import spread_blocks
 from repro.verify.invariants import Invariant, InvariantChecker, Violation
-from repro.workloads.arrivals import (
-    CorrelatedSurge,
-    MarkedArrivals,
-    MMPPArrivals,
-    ParetoSizes,
-    PoissonArrivals,
-)
-from repro.workloads.bigdata import Stage
-from repro.workloads.microservice import Microservice, ServiceDemands
-from repro.workloads.plo import LatencyPLO
-from repro.workloads.stream import Operator
-from repro.workloads.traces import (
-    ConstantTrace,
-    DiurnalTrace,
-    ReplayTrace,
-    ScaledTrace,
-)
 
 #: Bump when the repro JSON layout changes incompatibly. Version 2 adds
 #: ``zones`` / ``overload`` spec fields and the ``zone-outage`` /
@@ -231,6 +215,34 @@ class ScenarioSpec:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
+    def to_config(self) -> dict:
+        """The scenario as a loader config: plain JSON-able data for
+        :func:`repro.platform.loader.platform_from_dict`, the one build
+        path (``repro run`` takes the same dict from a file)."""
+        config: dict = {
+            "seed": self.seed,
+            "duration": self.horizon,
+            "cluster": {"nodes": self.nodes, "zones": self.zones},
+            "scheduler": self.scheduler,
+            "controller_replicas": self.controller_replicas,
+            "workloads": [_workload_config(w, self) for w in self.workloads],
+            "faults": [c.to_dict() for c in self.chaos],
+        }
+        if self.overload:
+            config["overload"] = {
+                "admission": True, "backpressure": True, "brownout": True,
+            }
+        if self.ft:
+            config["data_plane"] = {"enabled": True}
+        if self.surge:
+            config["surge"] = {
+                "mean_interval": max(120.0, self.horizon / 3.0),
+                "duration": 60.0,
+                "factor": 4.0,
+                "max_lag": 15.0,
+            }
+        return config
+
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
@@ -363,6 +375,104 @@ def generate_scenario(run_seed: int, index: int) -> ScenarioSpec:
 # -- platform construction -----------------------------------------------------
 
 
+def _workload_config(workload: WorkloadSpec, spec: ScenarioSpec) -> dict:
+    """One spec workload as a loader ``workloads`` entry."""
+    p = workload.params
+    entry: dict = {"kind": workload.kind, "name": workload.name}
+    if workload.kind == "micro":
+        if "samples" in p:
+            # Replayed rate curve (pack v2's diurnal-replay entries).
+            trace = {
+                "kind": "replay",
+                "samples": [[float(t), float(r)] for t, r in p["samples"]],
+                "time_scale": float(p.get("time_scale", 1.0)),
+                "rate_scale": float(p.get("rate_scale", 1.0)),
+            }
+        else:
+            trace = {
+                "kind": "diurnal",
+                "base": p["base"],
+                "amplitude": p["amplitude"],
+                "period": p["period"],
+            }
+        entry.update(
+            trace=trace,
+            # Optional per-request disk/net demands (v4): services whose
+            # bottleneck is I/O, not CPU — absent in older specs, so the
+            # defaults reproduce the v3 deployment byte-for-byte.
+            demands={
+                "cpu_seconds": p["cpu_seconds"],
+                "disk_mb": float(p.get("disk_mb", 0.0)),
+                "net_mb": float(p.get("net_mb", 0.0)),
+                "base_latency": 0.005,
+            },
+            allocation={
+                "cpu": p["cpu"], "memory": p["memory"],
+                "disk_bw": 10, "net_bw": 30,
+            },
+            plo={"kind": "latency", "target": p["plo"], "window": 30},
+            replicas=p["replicas"],
+        )
+        if spec.arrival_model != "rate":
+            arrivals: dict = {"model": spec.arrival_model}
+            if spec.arrival_model == "mmpp":
+                arrivals["factors"] = [0.3, 1.0, 3.0]
+            if spec.heavy_tail:
+                arrivals["sizes"] = {"kind": "pareto", "alpha": 1.6}
+            entry["arrivals"] = arrivals
+    elif workload.kind == "stream":
+        entry.update(
+            trace={"kind": "constant", "value": p["rate"]},
+            operators=[
+                {"name": "parse", "cpu_seconds": p["cpu_seconds"]},
+                {"name": "agg", "cpu_seconds": p["cpu_seconds"] / 2},
+            ],
+            allocation={
+                "cpu": p["cpu"], "memory": p["memory"],
+                "disk_bw": 10, "net_bw": 40,
+            },
+            plo={"kind": "latency", "target": p["plo"], "window": 30},
+            workers=p["workers"],
+        )
+    elif workload.kind == "bigdata":
+        entry.update(
+            stages=[
+                {"name": "scan", "work": p["scan_cpu"], "input_mb": p["input_mb"]},
+                {
+                    "name": "agg",
+                    "work": p["agg_cpu"],
+                    "input_mb": p["input_mb"] / 10,
+                    "deps": ["scan"],
+                },
+            ],
+            allocation={
+                "cpu": p["cpu"], "memory": p["memory"],
+                "disk_bw": 60, "net_bw": 60,
+            },
+            executors=p["executors"],
+            delay=p["delay"],
+        )
+        if p.get("dataset"):
+            entry["dataset"] = {
+                "name": f"{workload.name}-data",
+                "total_mb": 2000,
+                "block_mb": 100,
+                "nodes": max(1, spec.nodes // 2),
+            }
+    elif workload.kind == "hpc":
+        entry.update(
+            ranks=p["ranks"],
+            job_duration=p["duration"],
+            allocation={
+                "cpu": p["cpu"], "memory": p["memory"],
+                "disk_bw": 5, "net_bw": 40,
+            },
+            delay=p["delay"],
+        )
+    # Any other kind passes through bare; the loader rejects it.
+    return entry
+
+
 def build_platform(
     spec: ScenarioSpec,
     *,
@@ -371,390 +481,23 @@ def build_platform(
     policy_kwargs: dict | None = None,
     slos: tuple = (),
 ) -> EvolvePlatform:
-    """Materialize a spec: platform + workloads + explicit chaos schedule.
+    """Materialize a spec through the loader (:meth:`ScenarioSpec.to_config`).
 
     ``policy`` / ``policy_kwargs`` / ``slos`` exist for the arena
     harness, which replays pack scenarios under every registered policy
     with SLO tracking armed; the defaults reproduce the fuzzer's
     canonical adaptive build bit-for-bit.
     """
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=spec.nodes, zones=spec.zones),
-        config=PlatformConfig(
-            seed=spec.seed,
-            controller_replicas=spec.controller_replicas,
-            telemetry=telemetry,
-            slos=tuple(slos),
-            overload=OverloadConfig(
-                admission=spec.overload,
-                backpressure=spec.overload,
-                brownout=spec.overload,
-            ),
-            data_plane=DataPlaneConfig(enabled=spec.ft),
-        ),
-        scheduler=spec.scheduler,
+    config = spec.to_config()
+    config.update(
+        telemetry=telemetry,
         policy=policy,
-        policy_kwargs=policy_kwargs,
+        slos=[asdict(slo) for slo in slos],
     )
-    surge = None
-    if spec.surge:
-        # One shared schedule from a dedicated stream; per-app lags draw
-        # in deployment order, which spec.workloads fixes.
-        surge = CorrelatedSurge(
-            platform.rng.stream("workload/surge"),
-            horizon=spec.horizon,
-            mean_interval=max(120.0, spec.horizon / 3.0),
-            duration=60.0,
-            factor=4.0,
-            max_lag=15.0,
-        )
-    for workload in spec.workloads:
-        _deploy(
-            platform,
-            workload,
-            arrival_model=spec.arrival_model,
-            heavy_tail=spec.heavy_tail,
-            surge=surge,
-            horizon=spec.horizon,
-        )
-    for event in spec.chaos:
-        _schedule_chaos(platform, event)
+    if policy_kwargs is not None:
+        config["policy_kwargs"] = policy_kwargs
+    platform, _duration = platform_from_dict(config)
     return platform
-
-
-def _micro_arrivals(
-    platform: EvolvePlatform,
-    name: str,
-    trace,
-    *,
-    arrival_model: str,
-    heavy_tail: bool,
-    horizon: float,
-):
-    """Build the open-loop arrival process for one microservice (v4).
-
-    Streams are per-app (``workload/<name>/arrivals`` / ``…/sizes``) so
-    adding a service never shifts a neighbour's draw sequence.
-    """
-    if arrival_model == "rate":
-        return None
-    rng = platform.rng.stream(f"workload/{name}/arrivals")
-    if arrival_model == "poisson":
-        process = PoissonArrivals(trace, rng)
-    elif arrival_model == "mmpp":
-        process = MMPPArrivals(
-            trace, rng, factors=(0.3, 1.0, 3.0), horizon=horizon
-        )
-    else:
-        raise ValueError(f"unknown arrival model {arrival_model!r}")
-    if heavy_tail:
-        process = MarkedArrivals(
-            process,
-            ParetoSizes(alpha=1.6),
-            platform.rng.stream(f"workload/{name}/sizes"),
-        )
-    return process
-
-
-def _deploy(
-    platform: EvolvePlatform,
-    workload: WorkloadSpec,
-    *,
-    arrival_model: str = "rate",
-    heavy_tail: bool = False,
-    surge: "CorrelatedSurge | None" = None,
-    horizon: float = 86_400.0,
-) -> None:
-    p = workload.params
-    if workload.kind == "micro":
-        if "samples" in p:
-            # Replayed rate curve (pack v2's diurnal-replay entries).
-            trace = ReplayTrace(
-                [(float(t), float(r)) for t, r in p["samples"]],
-                time_scale=float(p.get("time_scale", 1.0)),
-                rate_scale=float(p.get("rate_scale", 1.0)),
-            )
-        else:
-            trace = DiurnalTrace(
-                base=p["base"], amplitude=p["amplitude"], period=p["period"]
-            )
-        if surge is not None:
-            trace = surge.attach(trace, name=workload.name)
-        platform.deploy_microservice(
-            workload.name,
-            trace=trace,
-            # Optional per-request disk/net demands (v4): services whose
-            # bottleneck is I/O, not CPU — absent in older specs, so the
-            # defaults reproduce the v3 deployment byte-for-byte.
-            demands=ServiceDemands(
-                cpu_seconds=p["cpu_seconds"],
-                disk_mb=float(p.get("disk_mb", 0.0)),
-                net_mb=float(p.get("net_mb", 0.0)),
-                base_latency=0.005,
-            ),
-            allocation=ResourceVector(
-                cpu=p["cpu"], memory=p["memory"], disk_bw=10, net_bw=30
-            ),
-            plo=LatencyPLO(p["plo"], window=30),
-            replicas=p["replicas"],
-            arrivals=_micro_arrivals(
-                platform,
-                workload.name,
-                trace,
-                arrival_model=arrival_model,
-                heavy_tail=heavy_tail,
-                horizon=horizon,
-            ),
-        )
-    elif workload.kind == "stream":
-        platform.deploy_stream(
-            workload.name,
-            trace=ConstantTrace(p["rate"]),
-            operators=[
-                Operator("parse", p["cpu_seconds"]),
-                Operator("agg", p["cpu_seconds"] / 2),
-            ],
-            allocation=ResourceVector(
-                cpu=p["cpu"], memory=p["memory"], disk_bw=10, net_bw=40
-            ),
-            plo=LatencyPLO(p["plo"], window=30),
-            workers=p["workers"],
-        )
-    elif workload.kind == "bigdata":
-        dataset = None
-        if p.get("dataset"):
-            dataset = f"{workload.name}-data"
-            node_names = list(platform.cluster.nodes)
-            spread_blocks(
-                platform.store,
-                dataset,
-                total_mb=2000,
-                block_mb=100,
-                nodes=node_names[: max(1, len(node_names) // 2)],
-            )
-        platform.submit_bigdata(
-            workload.name,
-            stages=[
-                Stage("scan", p["scan_cpu"], input_mb=p["input_mb"]),
-                Stage(
-                    "agg",
-                    p["agg_cpu"],
-                    input_mb=p["input_mb"] / 10,
-                    deps=("scan",),
-                ),
-            ],
-            allocation=ResourceVector(
-                cpu=p["cpu"], memory=p["memory"], disk_bw=60, net_bw=60
-            ),
-            executors=p["executors"],
-            dataset=dataset,
-            delay=p["delay"],
-        )
-    elif workload.kind == "hpc":
-        platform.submit_hpc(
-            workload.name,
-            ranks=p["ranks"],
-            duration=p["duration"],
-            allocation=ResourceVector(
-                cpu=p["cpu"], memory=p["memory"], disk_bw=5, net_bw=40
-            ),
-            delay=p["delay"],
-        )
-    else:
-        raise ValueError(f"unknown workload kind {workload.kind!r}")
-
-
-def _schedule_chaos(platform: EvolvePlatform, event: ChaosEvent) -> None:
-    """Schedule one explicit strike/heal pair, with guards.
-
-    Every guard makes the event a no-op instead of an error when its
-    target is unavailable (all nodes already down, no control plane,
-    replica already partitioned …): a shrunken spec must stay runnable
-    no matter which of its siblings were dropped.
-    """
-    engine = platform.engine
-    token: dict = {}
-
-    if event.domain == "crash":
-
-        def strike() -> None:
-            healthy = [n.name for n in platform.injector.healthy_nodes()]
-            if not healthy:
-                return
-            name = healthy[event.target % len(healthy)]
-            platform.injector.fail_node(name)
-            token["node"] = name
-
-        def heal() -> None:
-            name = token.get("node")
-            if name is not None and platform.injector.is_failed(name):
-                platform.injector.recover_node(name)
-
-    elif event.domain == "degrade":
-
-        def strike() -> None:
-            candidates = [
-                n.name
-                for n in platform.injector.healthy_nodes()
-                if not platform.degrader.is_degraded(n.name)
-            ]
-            if not candidates:
-                return
-            name = candidates[event.target % len(candidates)]
-            platform.degrader.degrade_node(name, 0.5)
-            token["node"] = name
-
-        def heal() -> None:
-            name = token.get("node")
-            if name is not None and platform.degrader.is_degraded(name):
-                platform.degrader.restore_node(name)
-
-    elif event.domain == "controller-crash":
-
-        def strike() -> None:
-            plane = platform.control_plane
-            if plane is None:
-                return
-            alive = plane.alive_indices()
-            if not alive:
-                return
-            leader = plane.leader_index()
-            index = (
-                leader
-                if leader is not None
-                else alive[event.target % len(alive)]
-            )
-            plane.crash_replica(index)
-            token["index"] = index
-
-        def heal() -> None:
-            plane = platform.control_plane
-            index = token.get("index")
-            if (
-                plane is not None
-                and index is not None
-                and not plane.is_alive(index)
-            ):
-                plane.restart_replica(index)
-
-    elif event.domain == "zone-outage":
-
-        def strike() -> None:
-            dom = ZoneOutageDomain(
-                platform.injector, log=platform.fault_log
-            )
-            zones = dom.zones()
-            if not zones:
-                return
-            token["zone"] = dom.strike_zone(zones[event.target % len(zones)])
-            token["dom"] = dom
-
-        def heal() -> None:
-            dom = token.get("dom")
-            if dom is not None:
-                dom.heal(token["zone"])
-
-    elif event.domain == "overload-surge":
-        # A flash crowd, not a fault injection: multiply one
-        # microservice's offered load by 4× for the window, restoring
-        # the original trace afterwards. Exercises the shed → brownout →
-        # recover pipeline when the spec armed the overload stack.
-
-        def strike() -> None:
-            services = [
-                app
-                for _name, app in sorted(platform.apps.items())
-                if isinstance(app, Microservice)
-            ]
-            if not services:
-                return
-            app = services[event.target % len(services)]
-            token["app"] = app
-            token["trace"] = app.trace
-            app.trace = ScaledTrace(app.trace, 4.0)
-
-        def heal() -> None:
-            app = token.get("app")
-            if app is not None:
-                app.trace = token["trace"]
-
-    elif event.domain == "executor-kill":
-        # Kill one running data-parallel pod (bigdata executor or stream
-        # worker) — the small-blast-radius fault the task engine's
-        # share re-open and the stream checkpoint restart absorb.
-
-        def strike() -> None:
-            victims = sorted(
-                pod.name
-                for pod in platform.cluster.pods.values()
-                if pod.phase is PodPhase.RUNNING
-                and pod.spec.workload_class is WorkloadClass.BIGDATA
-            )
-            if not victims:
-                return
-            platform.cluster.evict(
-                victims[event.target % len(victims)], reason="executor-kill"
-            )
-
-        heal = None
-
-    elif event.domain == "straggler":
-
-        def strike() -> None:
-            candidates = [
-                node
-                for node in platform.cluster.nodes.values()
-                if node.speed_factor >= 1.0
-                and not node.allocatable.is_zero()
-            ]
-            if not candidates:
-                return
-            node = candidates[event.target % len(candidates)]
-            node.speed_factor = 0.3
-            token["node"] = node.name
-
-        def heal() -> None:
-            name = token.get("node")
-            if name is not None:
-                platform.cluster.get_node(name).speed_factor = 1.0
-
-    elif event.domain == "data-loss":
-        # Wipe one data-bearing node's replicas; no heal — the repair
-        # loop (armed whenever the spec sets ``ft``) re-replicates.
-
-        def strike() -> None:
-            nodes = sorted(platform.store.nodes_with_data())
-            if not nodes:
-                return
-            platform.store.drop_node(nodes[event.target % len(nodes)])
-
-        heal = None
-
-    elif event.domain == "partition":
-
-        def strike() -> None:
-            plane = platform.control_plane
-            if plane is None:
-                return
-            alive = plane.alive_indices()
-            if not alive:
-                return
-            identity = plane.identity(alive[event.target % len(alive)])
-            now = engine.now
-            if not platform.partition_faults.is_partitioned(identity, now):
-                # Bounded window: closes by itself, no heal callback.
-                platform.partition_faults.partition(
-                    identity, now, event.duration
-                )
-
-        heal = None
-
-    else:
-        raise ValueError(f"unknown chaos domain {event.domain!r}")
-
-    engine.schedule_at(event.at, strike)
-    if heal is not None:
-        engine.schedule_at(event.at + event.duration, heal)
 
 
 # -- episodes ------------------------------------------------------------------

@@ -84,8 +84,9 @@ def test_quotas_via_loader():
         "duration": 300,
         "cluster": {"nodes": 3},
         "quotas": {"acme": {"cpu": 1, "memory": 4, "disk_bw": 50, "net_bw": 50}},
-        "services": [
+        "workloads": [
             {
+                "kind": "micro",
                 "name": "svc",
                 "trace": {"kind": "constant", "value": 10},
                 "demands": {"cpu_seconds": 0.01},

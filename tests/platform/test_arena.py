@@ -1,5 +1,6 @@
 """Arena harness tests: scorecard determinism, leaderboard, rendering."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,8 @@ from repro.arena import (
     run_arena,
     run_cell,
 )
-from repro.scenarios import load_scenario
+from repro.platform.loader import platform_from_dict
+from repro.scenarios import load_scenario, scenario_names
 
 #: A deliberately small sweep so the determinism test stays CI-cheap:
 #: two policies x two scenarios, shortened horizon.
@@ -148,3 +150,26 @@ class TestActuationLedger:
         for direction in (1, 0, -1, 0):
             ledger._push("app2", "replicas", direction)
         assert ledger.flap_count() == 3
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_pack_scenario_is_plain_loader_data(name, monkeypatch):
+    """Building a pack entry from the JSON text of ``spec.to_config()``
+    scores exactly like ``build_platform(spec)``: a scenario is plain
+    data that ``repro run`` can take."""
+    import repro.arena as arena
+
+    entry = load_scenario(name)
+    direct = run_cell("adaptive", entry, horizon=240.0).to_dict()
+
+    def from_json(spec, *, telemetry, policy, slos, policy_kwargs=None):
+        config = spec.to_config()
+        config.update(
+            telemetry=telemetry, policy=policy,
+            slos=[dataclasses.asdict(slo) for slo in slos],
+        )
+        platform, _ = platform_from_dict(json.loads(json.dumps(config)))
+        return platform
+
+    monkeypatch.setattr(arena, "build_platform", from_json)
+    assert run_cell("adaptive", entry, horizon=240.0).to_dict() == direct

@@ -31,8 +31,9 @@ def test_run_command(tmp_path, capsys):
         "seed": 1,
         "duration": 600,
         "cluster": {"nodes": 3},
-        "services": [
+        "workloads": [
             {
+                "kind": "micro",
                 "name": "api",
                 "trace": {"kind": "constant", "value": 50},
                 "demands": {"cpu_seconds": 0.01},
@@ -65,7 +66,7 @@ def test_run_missing_file(capsys):
 
 def test_run_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{\"services\": [{}]}")
+    path.write_text("{\"workloads\": [{}]}")
     assert main(["run", str(path)]) == 2
 
 

@@ -16,12 +16,13 @@ def test_run_with_jobs_reports_makespans(tmp_path, capsys):
         "seed": 2,
         "duration": 900,
         "cluster": {"nodes": 3},
-        "bigdata": [{
+        "workloads": [{
+            "kind": "bigdata",
             "name": "etl",
             "stages": [{"name": "map", "work": 100}],
             "allocation": {"cpu": 2, "memory": 4, "disk_bw": 20, "net_bw": 20},
-        }],
-        "hpc": [{
+        }, {
+            "kind": "hpc",
             "name": "sim", "ranks": 2, "job_duration": 120,
             "allocation": {"cpu": 4, "memory": 4, "disk_bw": 5, "net_bw": 50},
         }],
@@ -37,7 +38,8 @@ def test_run_with_unfinished_job_reports_running(tmp_path, capsys):
     config = {
         "duration": 60,
         "cluster": {"nodes": 2},
-        "bigdata": [{
+        "workloads": [{
+            "kind": "bigdata",
             "name": "long",
             "stages": [{"name": "map", "work": 1_000_000}],
             "allocation": {"cpu": 2, "memory": 4, "disk_bw": 20, "net_bw": 20},

@@ -35,7 +35,8 @@ def test_stream_via_loader():
     config = {
         "duration": 600,
         "cluster": {"nodes": 3},
-        "streams": [{
+        "workloads": [{
+            "kind": "stream",
             "name": "clicks",
             "trace": {"kind": "constant", "value": 100},
             "operators": [
@@ -55,12 +56,13 @@ def test_stream_via_loader():
 
 def test_stream_loader_validation():
     config = {
-        "streams": [{
+        "workloads": [{
+            "kind": "stream",
             "name": "bad",
             "trace": {"kind": "constant", "value": 1},
             "operators": [{"name": "x", "cpu_seconds": -1}],
             "allocation": {"cpu": 1},
         }],
     }
-    with pytest.raises(ConfigError, match="stream 'bad'"):
+    with pytest.raises(ConfigError, match="'bad'"):
         platform_from_dict(config)
