@@ -1,7 +1,7 @@
 """Golden behaviour pins: seeded outputs that must not move silently.
 
 ``tests/data/golden_bench.json`` holds the smoke ``metrics`` blocks of
-R-T10, R-T11, R-T12 and the arena, digests of fuzz episodes 0-6 at run
+R-T7, R-T10, R-T11, R-T12, R-F11 and the arena, digests of fuzz episodes 0-6 at run
 seed 7, and the Python/numpy versions they were generated with.
 ``tests/test_golden.py`` reruns the fast subset on every test run; the
 CI bench job compares every pinned block of its ``BENCH_*.json``
@@ -28,7 +28,7 @@ import numpy as np
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_bench.json"
 #: Runner experiments whose smoke ``metrics`` block is pinned.
-BENCH = ("t10", "t11", "t12", "arena")
+BENCH = ("t7", "t10", "t11", "t12", "f11", "arena")
 FUZZ_RUN_SEED = 7
 FUZZ_EPISODES = tuple(range(7))
 

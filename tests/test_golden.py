@@ -1,8 +1,8 @@
 """Seeded outputs pinned in tests/data/golden_bench.json (see tests/golden.py).
 
-Reruns the fast subset: the R-T10/R-T11/R-T12 smoke metrics blocks, the
-adaptive column of the arena (one cell per pack scenario) and fuzz
-episodes 0-6 at run seed 7. Any difference is a behaviour change; if it
+Reruns the fast subset: the R-T7/R-T10/R-T11/R-T12/R-F11 smoke metrics
+blocks, the adaptive column of the arena (one cell per pack scenario) and
+fuzz episodes 0-6 at run seed 7. Any difference is a behaviour change; if it
 is intended, re-pin in the same change (docs/testing.md).
 """
 
@@ -26,7 +26,7 @@ def _assert_pinned(got, want, label: str) -> None:
     assert not diffs, f"{label} moved from its pin:\n" + "\n".join(diffs)
 
 
-@pytest.mark.parametrize("name", ("t10", "t11", "t12"))
+@pytest.mark.parametrize("name", ("t7", "t10", "t11", "t12", "f11"))
 def test_bench_smoke_metrics_match_pin(name):
     _assert_pinned(golden.bench_metrics(name), PINS["metrics"][name], name)
 
