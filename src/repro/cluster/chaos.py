@@ -19,14 +19,13 @@ loop) can be exercised and tested:
   wired into :class:`~repro.cluster.api.ClusterAPI` so every verb of a
   partitioned controller's :class:`~repro.cluster.api.ScopedClusterAPI`
   raises :class:`~repro.cluster.api.PartitionError`.
-* :class:`ControllerCrashDomain` / :class:`PartitionDomain` — strike the
-  *control plane itself* (kill or partition the leader replica of a
-  :class:`~repro.control.ha.ReplicatedControlPlane`), exercising leader
-  failover, snapshot restore, and WAL replay.
-* :class:`ZoneOutageDomain` — correlated failure: every node in one
-  availability zone crashes together as a single logged episode.
-* :class:`ChaosMonkey` — random strikes from a seeded RNG over a
-  pluggable set of :class:`FaultDomain` verbs for soak experiments.
+* :class:`FaultDomain` classes — the one implementation of each
+  schedulable fault (node crash, degradation, zone outage, controller
+  crash and partition, executor kill, straggler, data loss), struck
+  through ``candidates()`` / ``strike()`` / ``heal`` both by a
+  scenario's explicit ``faults`` schedule and by the monkey.
+* :class:`ChaosMonkey` — random strikes from a seeded RNG over a set of
+  fault domains, for soak experiments.
 
 Metrics-pipeline faults (dropped scrapes, frozen series, outliers) live
 in :mod:`repro.metrics.faults`; every injector records its episodes into
@@ -37,7 +36,7 @@ per-episode MTTR and re-convergence time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -389,38 +388,42 @@ class PartitionInjector:
             self.log.close(episode, now)
 
 
-# -- random fault scheduling ----------------------------------------------------
+# -- fault domains ----------------------------------------------------------------
 
 
 class FaultDomain(Protocol):
-    """One class of injectable fault the :class:`ChaosMonkey` can drive.
+    """One class of injectable fault, struck the same way by every caller.
 
-    ``strike`` applies a fault and returns an opaque token (or None when
-    no viable target exists); ``heal`` undoes it. Domains must tolerate
-    ``heal`` racing with external recovery.
+    :meth:`candidates` lists the possible victims at strike time in a
+    stable order. The caller picks one — the :class:`ChaosMonkey` at
+    random, an explicit ``faults`` schedule by index — and :meth:`strike`
+    applies the fault for ``duration`` seconds and records its
+    :class:`FaultLog` episode, returning the token ``heal`` takes (None
+    when the victim turned out to be unavailable). ``heal`` is None for
+    faults nothing undoes: the workload or the platform repairs them.
+    Heals must tolerate racing with external recovery.
     """
 
     name: str
+    heal: Callable[[object], None] | None
 
-    def strike(self) -> object | None: ...
+    def candidates(self) -> list: ...
 
-    def heal(self, token: object) -> None: ...
+    def strike(self, victim, duration: float) -> object | None: ...
 
 
 class NodeCrashDomain:
-    """Crash a random healthy node."""
+    """Crash a healthy node."""
 
     name = "crash"
 
-    def __init__(self, injector: FailureInjector, rng: np.random.Generator):
+    def __init__(self, injector: FailureInjector):
         self.injector = injector
-        self.rng = rng
 
-    def strike(self) -> str | None:
-        candidates = [n.name for n in self.injector.healthy_nodes()]
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
+    def candidates(self) -> list[str]:
+        return [n.name for n in self.injector.healthy_nodes()]
+
+    def strike(self, victim: str, duration: float) -> str:
         self.injector.fail_node(victim)
         return victim
 
@@ -430,34 +433,23 @@ class NodeCrashDomain:
 
 
 class NodeDegradationDomain:
-    """Degrade a random node that is neither failed nor already degraded."""
+    """Halve the capacity of a healthy node that is not already degraded."""
 
     name = "degrade"
 
-    def __init__(
-        self,
-        degrader: DegradationInjector,
-        rng: np.random.Generator,
-        *,
-        factor: float = 0.5,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError("degradation factor must be in (0, 1)")
+    def __init__(self, degrader: DegradationInjector, injector: FailureInjector):
         self.degrader = degrader
-        self.rng = rng
-        self.factor = factor
+        self.injector = injector
 
-    def strike(self) -> str | None:
-        candidates = [
+    def candidates(self) -> list[str]:
+        return [
             n.name
-            for n in self.degrader.cluster.nodes.values()
+            for n in self.injector.healthy_nodes()
             if not self.degrader.is_degraded(n.name)
-            and not n.allocatable.is_zero()
         ]
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        self.degrader.degrade_node(victim, self.factor)
+
+    def strike(self, victim: str, duration: float) -> str:
+        self.degrader.degrade_node(victim, 0.5)
         return victim
 
     def heal(self, token: object) -> None:
@@ -480,20 +472,10 @@ class ZoneOutageDomain:
 
     name = "zone-outage"
 
-    def __init__(
-        self,
-        injector: FailureInjector,
-        rng: np.random.Generator | None = None,
-        *,
-        log: FaultLog | None = None,
-    ):
+    def __init__(self, injector: FailureInjector):
         self.injector = injector
-        self.rng = rng  # only needed for random strike(); strike_zone is RNG-free
-        self.log = log if log is not None else injector.log
-        self.outages = 0
-        self.pods_displaced = 0
 
-    def zones(self) -> list[str]:
+    def candidates(self) -> list[str]:
         """Zones that still have at least one healthy labelled node."""
         return sorted(
             {
@@ -503,91 +485,61 @@ class ZoneOutageDomain:
             }
         )
 
-    def strike_zone(self, zone: str) -> object:
-        """Deterministically fail every healthy node in ``zone``."""
-        victims = [
+    def strike(self, victim: str, duration: float) -> object:
+        """Fail every healthy node in zone ``victim``."""
+        nodes = [
             node.name
             for node in self.injector.healthy_nodes()
-            if node.labels.get("zone") == zone
+            if node.labels.get("zone") == victim
         ]
-        if not victims:
-            raise ClusterError(f"zone {zone!r} has no healthy nodes")
-        episode = self.log.open(
-            "zone-outage", zone, self.injector.cluster.now
+        if not nodes:
+            raise ClusterError(f"zone {victim!r} has no healthy nodes")
+        episode = self.injector.log.open(
+            "zone-outage", victim, self.injector.cluster.now
         )
         displaced = 0
-        for name in victims:
+        for name in nodes:
             displaced += len(self.injector.fail_node(name).evicted_pods)
-        episode.detail = f"nodes={len(victims)} pods_displaced={displaced}"
-        self.outages += 1
-        self.pods_displaced += displaced
-        return (zone, tuple(victims), episode)
-
-    def strike(self) -> object | None:
-        if self.rng is None:
-            raise ClusterError("random strike() needs an rng; use strike_zone")
-        candidates = self.zones()
-        if not candidates:
-            return None
-        zone = candidates[int(self.rng.integers(len(candidates)))]
-        return self.strike_zone(zone)
+        episode.detail = f"nodes={len(nodes)} pods_displaced={displaced}"
+        return (victim, tuple(nodes), episode)
 
     def heal(self, token: object) -> None:
-        _zone, victims, episode = token
-        for name in victims:
+        _zone, nodes, episode = token
+        for name in nodes:
             if self.injector.is_failed(name):
                 self.injector.recover_node(name)
-        self.log.close(episode, self.injector.cluster.now)
+        self.injector.log.close(episode, self.injector.cluster.now)
 
 
 class ControllerCrashDomain:
-    """Kill the control plane's current leader replica.
+    """Kill the control plane's leader replica (any live replica while no
+    leader is elected).
 
     ``plane`` is any object with the :class:`~repro.control.ha.ReplicatedControlPlane`
-    surface (``engine``, ``leader_index()``, ``identity(i)``,
-    ``crash_replica(i)``, ``restart_replica(i)``, ``store``). With
-    ``corrupt_snapshot_probability`` > 0 the strike may also corrupt the
-    newest durable snapshot, forcing the successor to restore from an
-    older one and replay a longer WAL suffix — the torn-write case.
+    surface (``engine``, ``leader_index()``, ``alive_indices()``,
+    ``identity(i)``, ``is_alive(i)``, ``crash_replica(i)``,
+    ``restart_replica(i)``), or None on a single-controller platform,
+    which leaves no candidates.
     """
 
     name = "controller-crash"
 
-    def __init__(
-        self,
-        plane,
-        rng: np.random.Generator,
-        *,
-        corrupt_snapshot_probability: float = 0.0,
-        log: FaultLog | None = None,
-    ):
-        if not 0.0 <= corrupt_snapshot_probability <= 1.0:
-            raise ValueError("corrupt_snapshot_probability must be in [0, 1]")
+    def __init__(self, plane, *, log: FaultLog | None = None):
         self.plane = plane
-        self.rng = rng
-        self.corrupt_snapshot_probability = corrupt_snapshot_probability
         self.log = log if log is not None else FaultLog()
-        self.crashes = 0
-        self.snapshot_corruptions = 0
 
-    def strike(self) -> object | None:
+    def candidates(self) -> list[int]:
+        if self.plane is None:
+            return []
         leader = self.plane.leader_index()
-        if leader is None:
-            return None
-        now = self.plane.engine.now
-        if (
-            self.corrupt_snapshot_probability > 0
-            and self.plane.store is not None
-            and float(self.rng.random()) < self.corrupt_snapshot_probability
-            and self.plane.store.corrupt_latest(now)
-        ):
-            self.snapshot_corruptions += 1
+        return [leader] if leader is not None else self.plane.alive_indices()
+
+    def strike(self, victim: int, duration: float) -> object:
         episode = self.log.open(
-            "controller-crash", self.plane.identity(leader), now
+            "controller-crash", self.plane.identity(victim), self.plane.engine.now
         )
-        self.plane.crash_replica(leader)
-        self.crashes += 1
-        return (leader, episode)
+        self.plane.crash_replica(victim)
+        return (victim, episode)
 
     def heal(self, token: object) -> None:
         index, episode = token
@@ -597,55 +549,31 @@ class ControllerCrashDomain:
 
 
 class PartitionDomain:
-    """Partition a controller replica from the API server.
+    """Cut a live controller replica off from the API server.
 
-    Targets the current leader by default (``target="leader"``) — the
-    interesting case, since a partitioned leader must stop actuating and
-    hand over without split-brain — or a uniformly random live replica
-    (``target="random"``). The partition stays open until healed by the
-    monkey's repair clock.
+    The partition is a bounded window of the strike's ``duration``: it
+    closes by itself, so there is nothing to heal. A replica that is
+    already partitioned is left alone. ``plane`` is as for
+    :class:`ControllerCrashDomain`.
     """
 
     name = "partition"
+    heal = None
 
-    def __init__(
-        self,
-        plane,
-        injector: PartitionInjector,
-        rng: np.random.Generator,
-        *,
-        target: str = "leader",
-    ):
-        if target not in ("leader", "random"):
-            raise ValueError("target must be 'leader' or 'random'")
+    def __init__(self, plane, injector: PartitionInjector):
         self.plane = plane
         self.injector = injector
-        self.rng = rng
-        self.target = target
-        self.strikes = 0
 
-    def _pick(self) -> int | None:
-        if self.target == "leader":
-            return self.plane.leader_index()
-        candidates = self.plane.alive_indices()
-        if not candidates:
-            return None
-        return candidates[int(self.rng.integers(len(candidates)))]
+    def candidates(self) -> list[int]:
+        return [] if self.plane is None else self.plane.alive_indices()
 
-    def strike(self) -> str | None:
-        index = self._pick()
-        if index is None:
-            return None
-        identity = self.plane.identity(index)
+    def strike(self, victim: int, duration: float) -> str | None:
+        identity = self.plane.identity(victim)
         now = self.plane.engine.now
         if self.injector.is_partitioned(identity, now):
             return None
-        self.injector.partition(identity, now)
-        self.strikes += 1
+        self.injector.partition(identity, now, duration)
         return identity
-
-    def heal(self, token: object) -> None:
-        self.injector.heal(str(token), self.plane.engine.now)
 
 
 class ExecutorKillDomain:
@@ -655,45 +583,30 @@ class ExecutorKillDomain:
     only the pod dies. With data-plane fault tolerance enabled the job
     re-opens exactly the lost in-flight task share; without it, the
     fluid model's global progress is untouched and only the executor
-    slot is lost until self-healing resubmits it.
+    slot is lost until application self-healing resubmits it — so the
+    domain has no heal.
     """
 
     name = "executor-kill"
+    heal = None
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        rng: np.random.Generator,
-        *,
-        workload_class: WorkloadClass = WorkloadClass.BIGDATA,
-        log: FaultLog | None = None,
-    ):
+    def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
         self.cluster = cluster
-        self.rng = rng
-        self.workload_class = workload_class
-        self.log = log
-        self.kills = 0
+        self.log = log if log is not None else FaultLog()
 
-    def strike(self) -> str | None:
-        candidates = sorted(
+    def candidates(self) -> list[str]:
+        return sorted(
             pod.name
             for pod in self.cluster.pods.values()
             if pod.phase is PodPhase.RUNNING
-            and pod.spec.workload_class is self.workload_class
+            and pod.spec.workload_class is WorkloadClass.BIGDATA
         )
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        self.cluster.evict(victim, reason="executor-kill")
-        self.kills += 1
-        if self.log is not None:
-            now = self.cluster.now
-            self.log.record("executor-kill", victim, now, now,
-                            domain=self.name)
-        return victim
 
-    def heal(self, token: object) -> None:
-        """No-op: application self-healing resubmits the replica."""
+    def strike(self, victim: str, duration: float) -> str:
+        self.cluster.evict(victim, reason="executor-kill")
+        now = self.cluster.now
+        self.log.record("executor-kill", victim, now, now, domain=self.name)
+        return victim
 
 
 class StragglerDomain:
@@ -702,55 +615,43 @@ class StragglerDomain:
     Models the sick-but-alive machine (failing disk, thermal throttling,
     noisy neighbour) that motivates speculative execution: pods keep
     their binds and report progress, just slowly. Sets
-    :attr:`Node.speed_factor`; only fault-tolerance-aware workload
-    models read it, so the domain is inert for default workloads.
+    :attr:`Node.speed_factor` to the strike's ``factor``; only
+    fault-tolerance-aware workload models read it, so the domain is inert
+    for default workloads.
     """
 
     name = "straggler"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        rng: np.random.Generator,
-        *,
-        factor: float = 0.3,
-        log: FaultLog | None = None,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError("straggler factor must be in (0, 1)")
+    def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
         self.cluster = cluster
-        self.rng = rng
-        self.factor = factor
-        self.log = log
-        self.strikes = 0
+        self.log = log if log is not None else FaultLog()
 
-    def strike(self) -> object | None:
-        candidates = [
-            node
+    def candidates(self) -> list[str]:
+        return [
+            node.name
             for node in self.cluster.nodes.values()
             if node.speed_factor >= 1.0 and not node.allocatable.is_zero()
         ]
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        victim.speed_factor = self.factor
-        self.strikes += 1
-        episode = None
-        if self.log is not None:
-            episode = self.log.open(
-                "node-straggler",
-                victim.name,
-                self.cluster.now,
-                detail=f"speed_factor={self.factor}",
-                domain=self.name,
-            )
-        return (victim.name, episode)
+
+    def strike(
+        self, victim: str, duration: float, factor: float = 0.3
+    ) -> object:
+        if not 0.0 < factor < 1.0:
+            raise ValueError("straggler factor must be in (0, 1)")
+        self.cluster.get_node(victim).speed_factor = factor
+        episode = self.log.open(
+            "node-straggler",
+            victim,
+            self.cluster.now,
+            detail=f"speed_factor={factor}",
+            domain=self.name,
+        )
+        return (victim, episode)
 
     def heal(self, token: object) -> None:
         name, episode = token
         self.cluster.get_node(name).speed_factor = 1.0
-        if episode is not None:
-            self.log.close(episode, self.cluster.now)
+        self.log.close(episode, self.cluster.now)
 
 
 class DataLossDomain:
@@ -760,43 +661,32 @@ class DataLossDomain:
     exercises lineage recompute (a completed stage's shuffle output
     vanishes) and the storage repair loop (objects drop below their
     replication target) without any scheduler-visible capacity change.
+    Wiped data does not come back, so there is no heal: the repair loop
+    re-replicates.
     """
 
     name = "data-loss"
+    heal = None
 
-    def __init__(
-        self,
-        store,
-        cluster: Cluster,
-        rng: np.random.Generator,
-        *,
-        log: FaultLog | None = None,
-    ):
+    def __init__(self, store, cluster: Cluster, *, log: FaultLog | None = None):
         self.store = store
         self.cluster = cluster
-        self.rng = rng
-        self.log = log
-        self.strikes = 0
-        self.replicas_dropped = 0
+        self.log = log if log is not None else FaultLog()
 
-    def strike(self) -> str | None:
-        candidates = sorted(self.store.nodes_with_data())
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
+    def candidates(self) -> list[str]:
+        return sorted(self.store.nodes_with_data())
+
+    def strike(self, victim: str, duration: float) -> str:
         dropped = self.store.drop_node(victim)
-        self.strikes += 1
-        self.replicas_dropped += dropped
-        if self.log is not None:
-            now = self.cluster.now
-            self.log.record(
-                "data-loss", victim, now, now,
-                detail=f"replicas_dropped={dropped}", domain=self.name,
-            )
+        now = self.cluster.now
+        self.log.record(
+            "data-loss", victim, now, now,
+            detail=f"replicas_dropped={dropped}", domain=self.name,
+        )
         return victim
 
-    def heal(self, token: object) -> None:
-        """No-op: wiped data does not come back; repair re-replicates."""
+
+# -- random fault scheduling ----------------------------------------------------
 
 
 class ChaosMonkey:
@@ -813,8 +703,9 @@ class ChaosMonkey:
         runs from killing the whole cluster).
     domains:
         Fault domains to draw from; defaults to crash-only against
-        ``injector`` (the legacy behaviour). With several domains the
-        monkey picks one uniformly per strike.
+        ``injector`` (the legacy behaviour). Each strike picks a domain,
+        then a victim among its candidates, uniformly from ``rng`` (a
+        pick among one draws nothing).
     """
 
     def __init__(
@@ -839,12 +730,10 @@ class ChaosMonkey:
         self.repair_time = repair_time
         self.max_concurrent_failures = max_concurrent_failures
         self.domains: list[FaultDomain] = (
-            list(domains) if domains else [NodeCrashDomain(injector, rng)]
+            list(domains) if domains else [NodeCrashDomain(injector)]
         )
-        if not self.domains:
-            raise ValueError("need at least one fault domain")
         self.strikes = 0
-        self._active: set[object] = set()
+        self._active = 0
         self._armed = False
 
     def start(self) -> None:
@@ -858,7 +747,7 @@ class ChaosMonkey:
         self._armed = False
 
     def active_faults(self) -> int:
-        return len(self._active)
+        return self._active
 
     def _arm_next(self) -> None:
         delay = float(self.rng.exponential(self.mtbf))
@@ -867,21 +756,21 @@ class ChaosMonkey:
     def _strike(self) -> None:
         if not self._armed:
             return
-        if len(self._active) < self.max_concurrent_failures:
-            if len(self.domains) == 1:
-                domain = self.domains[0]
-            else:
-                domain = self.domains[int(self.rng.integers(len(self.domains)))]
-            token = domain.strike()
-            if token is not None:
-                self.strikes += 1
-                key = (domain.name, token, self.engine.now)
-                self._active.add(key)
-                self.engine.schedule(
-                    self.repair_time, lambda: self._heal(domain, token, key)
-                )
+        if self._active < self.max_concurrent_failures:
+            domain = self.domains[int(self.rng.integers(len(self.domains)))]
+            candidates = domain.candidates()
+            if candidates:
+                victim = candidates[int(self.rng.integers(len(candidates)))]
+                token = domain.strike(victim, self.repair_time)
+                if token is not None:
+                    self.strikes += 1
+                    self._active += 1
+                    self.engine.schedule(
+                        self.repair_time, lambda: self._heal(domain, token)
+                    )
         self._arm_next()
 
-    def _heal(self, domain: FaultDomain, token: object, key: object) -> None:
-        self._active.discard(key)
-        domain.heal(token)
+    def _heal(self, domain: FaultDomain, token: object) -> None:
+        self._active -= 1
+        if domain.heal is not None:
+            domain.heal(token)

@@ -15,7 +15,7 @@ Typical experiment::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.stats import PLOMonitor, UtilizationSummary, utilization_summary
 from repro.autoscaler.adaptive import AdaptiveAutoscaler
@@ -66,7 +66,7 @@ from repro.workloads.bigdata import BigDataJob, Stage
 from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import DemandPhase, Microservice, ServiceDemands
 from repro.workloads.plo import DeadlinePLO, LatencyPLO, ThroughputPLO, ViolationTracker
-from repro.workloads.traces import LoadTrace
+from repro.workloads.traces import LoadTrace, ScaledTrace
 
 #: Autoscaling policies selectable by name (snapshot of the registry at
 #: import time; the platform itself consults the live registry, so
@@ -75,6 +75,56 @@ POLICIES = registered_policies()
 
 #: Schedulers selectable by name.
 SCHEDULERS = ("kube", "converged", "siloed")
+
+
+class OverloadSurgeDomain:
+    """A flash crowd, not a fault injection: multiply one microservice's
+    offered load by 4× for the window, then restore its original trace.
+
+    Exercises the shed → brownout → recover pipeline when the overload
+    stack is armed. It records no fault episode, and it lives here rather
+    than in :mod:`repro.cluster.chaos` because the cluster layer must not
+    import workloads.
+    """
+
+    name = "overload-surge"
+
+    def __init__(self, apps: dict[str, Application]):
+        self.apps = apps
+
+    def candidates(self) -> list[Microservice]:
+        return [
+            app
+            for _name, app in sorted(self.apps.items())
+            if isinstance(app, Microservice)
+        ]
+
+    def strike(self, victim: Microservice, duration: float) -> object:
+        original = victim.trace
+        victim.trace = ScaledTrace(original, 4.0)
+        return (victim, original)
+
+    def heal(self, token: object) -> None:
+        app, original = token
+        app.trace = original
+
+
+#: Fault domain name → its builder on a platform: the one table behind a
+#: scenario's explicit ``faults`` schedule (:mod:`repro.platform.loader`)
+#: and :meth:`EvolvePlatform.enable_chaos`.
+FAULT_DOMAINS: dict[str, Callable[["EvolvePlatform"], FaultDomain]] = {
+    "crash": lambda p: NodeCrashDomain(p.injector),
+    "degrade": lambda p: NodeDegradationDomain(p.degrader, p.injector),
+    "controller-crash": lambda p: ControllerCrashDomain(
+        p.control_plane, log=p.fault_log
+    ),
+    "partition": lambda p: PartitionDomain(p.control_plane, p.partition_faults),
+    "zone-outage": lambda p: ZoneOutageDomain(p.injector),
+    "overload-surge": lambda p: OverloadSurgeDomain(p.apps),
+    "executor-kill": lambda p: ExecutorKillDomain(p.cluster, log=p.fault_log),
+    "straggler": lambda p: StragglerDomain(p.cluster, log=p.fault_log),
+    "data-loss": lambda p: DataLossDomain(p.store, p.cluster, log=p.fault_log),
+}
 
 
 @dataclass
@@ -220,6 +270,9 @@ class EvolvePlatform:
         self.cluster.quotas = self.quotas
         self.injector = FailureInjector(self.cluster, log=self.fault_log)
         self.degrader = DegradationInjector(self.cluster, log=self.fault_log)
+        self.fault_domains: dict[str, FaultDomain] = {
+            name: build(self) for name, build in FAULT_DOMAINS.items()
+        }
         self.chaos: ChaosMonkey | None = None
         # -- data-plane fault tolerance (ISSUE 7) -----------------------------
         # Only built when enabled: default runs keep the store liveness-
@@ -320,92 +373,45 @@ class EvolvePlatform:
         mtbf: float = 3600.0,
         repair_time: float = 300.0,
         max_concurrent_failures: int = 1,
-        domains: Sequence[str | FaultDomain] | None = None,
-        degrade_factor: float = 0.5,
+        domains: Sequence[str] | None = None,
     ) -> ChaosMonkey:
         """Arm random faults for the rest of the run.
 
-        ``domains`` selects the fault classes the monkey draws from:
-        names ``"crash"`` / ``"degrade"`` — plus ``"controller-crash"`` /
-        ``"partition"`` when the replicated control plane is enabled, and
-        ``"zone-outage"`` when the cluster spans multiple zones — or
-        pre-built :class:`~repro.cluster.chaos.FaultDomain` objects.
-        Defaults to crash-only (the legacy behaviour).
+        ``domains`` names the fault classes the monkey draws from, out of
+        :data:`FAULT_DOMAINS` (``"controller-crash"`` and ``"partition"``
+        need the replicated control plane, ``"zone-outage"`` a multi-zone
+        cluster). Defaults to crash-only (the legacy behaviour).
         """
         if self.chaos is not None:
             raise RuntimeError("chaos already enabled")
-        rng = self.rng.stream("chaos")
-        built: list[FaultDomain] | None = None
-        if domains is not None:
-            built = []
-            for dom in domains:
-                if dom == "crash":
-                    built.append(NodeCrashDomain(self.injector, rng))
-                elif dom == "degrade":
-                    built.append(
-                        NodeDegradationDomain(
-                            self.degrader, rng, factor=degrade_factor
-                        )
-                    )
-                elif dom in ("controller-crash", "partition"):
-                    if self.control_plane is None:
-                        raise ValueError(
-                            f"fault domain {dom!r} needs the replicated "
-                            "control plane (set controller_replicas > 1 or "
-                            "controller_ha in PlatformConfig)"
-                        )
-                    if dom == "controller-crash":
-                        built.append(
-                            ControllerCrashDomain(
-                                self.control_plane, rng, log=self.fault_log
-                            )
-                        )
-                    else:
-                        built.append(
-                            PartitionDomain(
-                                self.control_plane, self.partition_faults, rng
-                            )
-                        )
-                elif dom == "zone-outage":
-                    if self.cluster_spec.zones <= 1:
-                        raise ValueError(
-                            "fault domain 'zone-outage' needs a multi-zone "
-                            "cluster (set ClusterSpec.zones > 1)"
-                        )
-                    built.append(
-                        ZoneOutageDomain(self.injector, rng, log=self.fault_log)
-                    )
-                elif dom == "executor-kill":
-                    built.append(
-                        ExecutorKillDomain(self.cluster, rng, log=self.fault_log)
-                    )
-                elif dom == "straggler":
-                    built.append(
-                        StragglerDomain(self.cluster, rng, log=self.fault_log)
-                    )
-                elif dom == "data-loss":
-                    built.append(
-                        DataLossDomain(
-                            self.store, self.cluster, rng, log=self.fault_log
-                        )
-                    )
-                elif isinstance(dom, str):
-                    raise ValueError(
-                        f"unknown fault domain {dom!r}; choose 'crash', "
-                        "'degrade', 'controller-crash', 'partition', "
-                        "'zone-outage', 'executor-kill', 'straggler', "
-                        "'data-loss', or pass a FaultDomain"
-                    )
-                else:
-                    built.append(dom)
+        domains = list(domains or ())
+        for name in domains:
+            if name not in self.fault_domains:
+                raise ValueError(
+                    f"unknown fault domain {name!r}; choose from "
+                    f"{', '.join(self.fault_domains)}"
+                )
+            if name in ("controller-crash", "partition") and (
+                self.control_plane is None
+            ):
+                raise ValueError(
+                    f"fault domain {name!r} needs the replicated control "
+                    "plane (set controller_replicas > 1 or controller_ha in "
+                    "PlatformConfig)"
+                )
+            if name == "zone-outage" and self.cluster_spec.zones <= 1:
+                raise ValueError(
+                    "fault domain 'zone-outage' needs a multi-zone cluster "
+                    "(set ClusterSpec.zones > 1)"
+                )
         self.chaos = ChaosMonkey(
             self.engine,
             self.injector,
-            rng,
+            self.rng.stream("chaos"),
             mtbf=mtbf,
             repair_time=repair_time,
             max_concurrent_failures=max_concurrent_failures,
-            domains=built,
+            domains=[self.fault_domains[name] for name in domains],
         )
         self.chaos.start()
         return self.chaos

@@ -254,8 +254,8 @@ class TestChaosMonkey:
             engine, injector, rng,
             mtbf=2.0, repair_time=5000.0, max_concurrent_failures=2,
             domains=[
-                NodeCrashDomain(injector, rng),
-                NodeDegradationDomain(degrader, rng, factor=0.5),
+                NodeCrashDomain(injector),
+                NodeDegradationDomain(degrader, injector),
             ],
         )
         monkey.start()
@@ -314,8 +314,8 @@ class TestChaosMonkey:
                 eng, inj, rng, mtbf=50.0, repair_time=30.0,
                 max_concurrent_failures=2,
                 domains=[
-                    NodeCrashDomain(inj, rng),
-                    NodeDegradationDomain(deg, rng, factor=0.5),
+                    NodeCrashDomain(inj),
+                    NodeDegradationDomain(deg, inj),
                 ],
             )
             monkey.start()
@@ -338,7 +338,7 @@ class TestChaosMonkey:
             eng = Engine()
             inj = FailureInjector(make_cluster(eng))
             rng = np.random.default_rng(7)
-            domains = [NodeCrashDomain(inj, rng)] if explicit else None
+            domains = [NodeCrashDomain(inj)] if explicit else None
             monkey = ChaosMonkey(eng, inj, rng, mtbf=100.0, repair_time=30.0,
                                  domains=domains)
             monkey.start()
@@ -376,11 +376,10 @@ class TestZoneOutageDomain:
         zoned_cluster.bind("a", "node-1-0")
         zoned_cluster.bind("b", "node-1-1")
         engine.run_until(10.0)
-        token = dom.strike_zone("z1")
+        token = dom.strike("z1", 60.0)
         assert injector.failed_nodes() == ["node-1-0", "node-1-1"]
         assert zoned_cluster.get_pod("a").phase == PodPhase.EVICTED
         assert zoned_cluster.get_pod("b").phase == PodPhase.EVICTED
-        assert dom.outages == 1 and dom.pods_displaced == 2
         # One zone-outage episode for the whole strike, blast radius in
         # the detail; per-node crash episodes ride underneath it.
         episodes = injector.log.by_kind("zone-outage")
@@ -395,7 +394,7 @@ class TestZoneOutageDomain:
         injector = FailureInjector(zoned_cluster)
         dom = ZoneOutageDomain(injector)
         engine.run_until(10.0)
-        token = dom.strike_zone("z0")
+        token = dom.strike("z0", 40.0)
         engine.run_until(50.0)
         dom.heal(token)
         assert injector.failed_nodes() == []
@@ -406,7 +405,7 @@ class TestZoneOutageDomain:
     def test_heal_tolerates_external_recovery(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
         dom = ZoneOutageDomain(injector)
-        token = dom.strike_zone("z2")
+        token = dom.strike("z2", 60.0)
         injector.recover_node("node-2-0")  # operator beat the domain to it
         dom.heal(token)  # must not raise on the already-healthy node
         assert injector.failed_nodes() == []
@@ -414,30 +413,31 @@ class TestZoneOutageDomain:
     def test_zones_lists_only_healthy_zones(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
         dom = ZoneOutageDomain(injector)
-        assert dom.zones() == ["z0", "z1", "z2"]
-        dom.strike_zone("z1")
-        assert dom.zones() == ["z0", "z2"]
+        assert dom.candidates() == ["z0", "z1", "z2"]
+        dom.strike("z1", 60.0)
+        assert dom.candidates() == ["z0", "z2"]
 
     def test_strike_empty_zone_rejected(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
         dom = ZoneOutageDomain(injector)
         with pytest.raises(ClusterError):
-            dom.strike_zone("nope")
+            dom.strike("nope", 60.0)
 
-    def test_random_strike_needs_rng(self, engine, zoned_cluster):
+    def test_monkey_strikes_a_random_zone(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
-        with pytest.raises(ClusterError):
-            dom.strike()
-        seeded = ZoneOutageDomain(injector, np.random.default_rng(7))
-        token = seeded.strike()
-        assert token is not None and seeded.outages == 1
+        monkey = ChaosMonkey(
+            engine, injector, np.random.default_rng(7),
+            mtbf=50.0, repair_time=30.0, domains=[ZoneOutageDomain(injector)],
+        )
+        monkey.start()
+        engine.run_until(500.0)
+        episodes = injector.log.by_kind("zone-outage")
+        assert monkey.strikes == len(episodes) >= 1
+        assert {e.target for e in episodes} <= {"z0", "z1", "z2"}
 
     def test_unlabelled_cluster_has_no_zones(self, engine, cluster):
-        injector = FailureInjector(cluster)
-        dom = ZoneOutageDomain(injector, np.random.default_rng(7))
-        assert dom.zones() == []
-        assert dom.strike() is None
+        dom = ZoneOutageDomain(FailureInjector(cluster))
+        assert dom.candidates() == []
 
 
 class TestFaultLogCloseOpen:
@@ -467,30 +467,32 @@ class TestExecutorKillDomain:
         cluster.bind("exec-1", "node-1")
         engine.run_until(10.0)
         log = FaultLog()
-        dom = ExecutorKillDomain(cluster, np.random.default_rng(7), log=log)
-        victim = dom.strike()
-        assert victim == "exec-1"  # the microservice is out of scope
+        dom = ExecutorKillDomain(cluster, log=log)
+        assert dom.candidates() == ["exec-1"]  # the microservice is out of scope
+        dom.strike("exec-1", 60.0)
         assert cluster.get_pod("exec-1").phase == PodPhase.EVICTED
         assert cluster.get_pod("svc").phase == PodPhase.RUNNING
-        assert dom.kills == 1
         assert log.episodes[0].kind == "executor-kill"
         assert log.episodes[0].domain == "executor-kill"
-        dom.heal(victim)  # no-op by contract
+        assert dom.heal is None  # self-healing resubmits the replica
 
     def test_no_candidates_is_a_noop(self, engine, cluster):
-        dom = ExecutorKillDomain(cluster, np.random.default_rng(7))
-        assert dom.strike() is None
-        assert dom.kills == 0
+        log = FaultLog()
+        monkey = ChaosMonkey(
+            engine, FailureInjector(cluster), np.random.default_rng(7),
+            mtbf=10.0, repair_time=5.0,
+            domains=[ExecutorKillDomain(cluster, log=log)],
+        )
+        monkey.start()
+        engine.run_until(200.0)
+        assert monkey.strikes == 0 and log.episodes == []
 
 
 class TestStragglerDomain:
     def test_strike_slows_and_heal_restores(self, engine, cluster):
         log = FaultLog()
-        dom = StragglerDomain(
-            cluster, np.random.default_rng(7), factor=0.25, log=log
-        )
-        token = dom.strike()
-        assert token is not None
+        dom = StragglerDomain(cluster, log=log)
+        token = dom.strike(dom.candidates()[0], 60.0, factor=0.25)
         name, episode = token
         assert cluster.get_node(name).speed_factor == 0.25
         assert episode.kind == "node-straggler" and episode.active
@@ -500,22 +502,22 @@ class TestStragglerDomain:
         assert not episode.active
 
     def test_already_slow_nodes_not_restruck(self, cluster):
-        dom = StragglerDomain(cluster, np.random.default_rng(7))
+        dom = StragglerDomain(cluster)
         for _ in range(3):
-            dom.strike()
-        assert dom.strikes == 3
-        assert dom.strike() is None  # every node already slowed
+            dom.strike(dom.candidates()[0], 60.0)
+        assert dom.candidates() == []  # every node already slowed
 
     def test_dark_nodes_excluded(self, cluster):
         injector = FailureInjector(cluster)
         for name in ("node-0", "node-1", "node-2"):
             injector.fail_node(name)
-        dom = StragglerDomain(cluster, np.random.default_rng(7))
-        assert dom.strike() is None
+        assert StragglerDomain(cluster).candidates() == []
 
     def test_invalid_factor(self, cluster):
-        with pytest.raises(ValueError):
-            StragglerDomain(cluster, np.random.default_rng(7), factor=1.0)
+        dom = StragglerDomain(cluster)
+        for factor in (0.0, 1.0, 2.5, -1.0):
+            with pytest.raises(ValueError):
+                dom.strike("node-0", 60.0, factor=factor)
 
 
 class TestDataLossDomain:
@@ -525,18 +527,14 @@ class TestDataLossDomain:
         store.put("d", "k1", 10.0, {"node-0", "node-1"})
         store.put("d", "k2", 5.0, {"node-1"})
         log = FaultLog()
-        dom = DataLossDomain(store, cluster, np.random.default_rng(3), log=log)
-        victim = dom.strike()
-        assert victim in {"node-0", "node-1"}
-        assert victim not in store.nodes_with_data()
-        assert dom.strikes == 1
-        assert dom.replicas_dropped >= 1
+        dom = DataLossDomain(store, cluster, log=log)
+        assert dom.candidates() == ["node-0", "node-1"]
+        dom.strike("node-1", 60.0)
+        assert store.nodes_with_data() == {"node-0"}
         assert log.episodes[0].kind == "data-loss"
         assert log.episodes[0].domain == "data-loss"
-        dom.heal(victim)  # no-op: wiped data stays gone
-        assert victim not in store.nodes_with_data()
+        assert log.episodes[0].detail == "replicas_dropped=2"
+        assert dom.heal is None  # wiped data stays gone; repair re-replicates
 
     def test_empty_store_is_a_noop(self, cluster):
-        dom = DataLossDomain(ObjectStore(), cluster, np.random.default_rng(3))
-        assert dom.strike() is None
-        assert dom.strikes == 0
+        assert DataLossDomain(ObjectStore(), cluster).candidates() == []

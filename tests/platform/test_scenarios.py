@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.arena import run_cell
+from repro.platform.evolve import FAULT_DOMAINS
 from repro.scenarios import (
     PACK_VERSION,
     UnknownScenarioError,
@@ -25,18 +26,6 @@ from repro.verify.fuzzer import (
     WORKLOAD_KINDS,
     build_platform,
     run_episode,
-)
-
-KNOWN_DOMAINS = (
-    "crash",
-    "degrade",
-    "controller-crash",
-    "partition",
-    "zone-outage",
-    "overload-surge",
-    "executor-kill",
-    "straggler",
-    "data-loss",
 )
 
 V1_ENTRIES = (
@@ -97,7 +86,7 @@ def test_entry_is_a_valid_replayable_spec(name):
     for workload in spec.workloads:
         assert workload.kind in WORKLOAD_KINDS
     for event in spec.chaos:
-        assert event.domain in KNOWN_DOMAINS
+        assert event.domain in FAULT_DOMAINS
         assert 0 <= event.at < spec.horizon
     # Round-trips through the repro-file format unchanged.
     assert type(spec).from_json(spec.to_json()) == spec
