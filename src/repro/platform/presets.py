@@ -217,7 +217,8 @@ DATA_FAULT: dict = {
 #: mid-job node loss (the lineage trigger) lands while the analytics job
 #: is still running.
 FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
-#: How long a crashed node stays dark / a straggler stays slow.
+#: How long a crashed node stays dark / a straggler stays slow. Executor
+#: kills and data loss have no heal; they take the crash window.
 _FAULT_WINDOW = {"crash": 60.0, "straggler": 120.0}
 _STRAGGLER_FACTOR = 0.5
 
@@ -263,7 +264,7 @@ def fault_cycle(period: float, duration: float) -> list[dict]:
         fault = {
             "domain": domain,
             "at": at,
-            "duration": _FAULT_WINDOW.get(domain, 0.0),
+            "duration": _FAULT_WINDOW.get(domain, _FAULT_WINDOW["crash"]),
             "target": len(faults),
         }
         if domain == "straggler":
