@@ -6,11 +6,13 @@ non-homogeneous Poisson process delivers the rate curve's integral with
 unit-CV exponential gaps, an MMPP over-disperses the same mean load, a
 Pareto size mark has the tail index it was built with, the deterministic
 replayer emits exactly the integral's worth of events with a stable
-fingerprint, and a correlated surge is active for its configured duty
-cycle. T14 measures each promise on seeded draws, then closes the loop
-end-to-end: a platform-hosted microservice driven by marked MMPP
-arrivals must offer (over the whole run) the load its trace prescribes,
-and two same-seed sweeps must agree bit-for-bit.
+fingerprint, a correlated surge is active for its configured duty
+cycle, and the per-tick ``count()`` the simulation draws sums to the
+same integral with Poisson dispersion. T14 measures each promise on
+seeded draws, then closes the loop end-to-end: a platform-hosted
+microservice driven by marked MMPP arrivals must offer (over the whole
+run) the load its trace prescribes, and two same-seed sweeps must agree
+bit-for-bit.
 
 Run standalone with ``python -m benchmarks.bench_t14_trace_realism``
 (``--smoke`` for the CI-sized variant).
@@ -37,7 +39,7 @@ from repro.workloads.arrivals import (
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traceio import TraceReplayer
-from repro.workloads.traces import ConstantTrace, DiurnalTrace
+from repro.workloads.traces import ConstantTrace, DiurnalTrace, StepTrace
 
 SEED = 414
 #: Statistical horizons. Smoke keeps the same assertions at roughly a
@@ -97,6 +99,42 @@ def _mmpp_cell(sizes: dict) -> dict:
         "cv": _interarrival_cv(events),
         "states_visited": int(len(factors)),
     }
+
+
+def _count_cell(sizes: dict) -> dict:
+    """``count()`` over contiguous 1 s windows — the simulation's query
+    pattern — against the integral, per driving process."""
+    horizon = sizes["stat_horizon"]
+    flat = ConstantTrace(50.0)
+    processes = {
+        "constant": PoissonArrivals(flat, _rng(SEED, "count-constant")),
+        "diurnal": PoissonArrivals(
+            DiurnalTrace(base=100.0, amplitude=60.0, period=horizon / 3.0),
+            _rng(SEED, "count-diurnal"),
+        ),
+        "step": PoissonArrivals(
+            StepTrace([(horizon / 4.0, 120.0), (horizon / 2.0, 30.0)],
+                      initial=60.0),
+            _rng(SEED, "count-step"),
+        ),
+        "mmpp": MMPPArrivals(flat, _rng(SEED, "count-mmpp"), horizon=horizon),
+    }
+    cell = {}
+    for name, proc in processes.items():
+        counts = np.array(
+            [proc.count(t, t + 1.0) for t in np.arange(0.0, horizon)]
+        )
+        expected = trace_integral(
+            proc if name == "mmpp" else proc.trace, 0.0, horizon
+        )
+        cell[name] = {
+            "total": int(counts.sum()),
+            "expected": expected,
+            "z": float((counts.sum() - expected) / math.sqrt(expected)),
+        }
+        if name == "constant":
+            cell[name]["dispersion"] = float(counts.var() / counts.mean())
+    return cell
 
 
 def _pareto_cell(sizes: dict) -> dict:
@@ -186,7 +224,7 @@ def _platform_cell(sizes: dict) -> dict:
     offered_total = float(sum(offered)) * dt
     # The open-loop reference is the *modulated* rate (MMPP state path
     # included), not the base curve — realism means the service offered
-    # exactly what the stochastic process prescribed, up to thinning
+    # exactly what the stochastic process prescribed, up to Poisson
     # noise and edge-window truncation.
     expected = trace_integral(mmpp, 0.0, horizon)
     _, sf = platform.collector.series("app/frontend/size_factor").to_lists()
@@ -204,6 +242,7 @@ def run_case(*, mode: str = "smoke") -> dict:
     cells = {
         "poisson": _poisson_cell(sizes),
         "mmpp": _mmpp_cell(sizes),
+        "count": _count_cell(sizes),
         "pareto": _pareto_cell(sizes),
         "replay": _replay_cell(sizes),
         "surge": _surge_cell(sizes),
@@ -231,6 +270,18 @@ def check_case(case: dict) -> None:
     mmpp = cells["mmpp"]
     assert mmpp["states_visited"] >= 2, "MMPP never switched state"
     assert mmpp["cv"] > 1.15, f"MMPP not over-dispersed: CV={mmpp['cv']:.3f}"
+
+    # Per-tick counts sum to the integral within ±4σ for every driving
+    # process, and constant-rate counts are Poisson (variance = mean).
+    for name, count in cells["count"].items():
+        assert abs(count["z"]) < 4.0, (
+            f"count/{name} total {count['total']} is {count['z']:+.2f}σ "
+            f"from the integral {count['expected']:.0f}"
+        )
+    dispersion = cells["count"]["constant"]["dispersion"]
+    assert abs(dispersion - 1.0) < 0.1, (
+        f"constant-rate counts not Poisson: var/mean={dispersion:.3f}"
+    )
 
     # Hill's estimator recovers the configured tail index.
     pareto = cells["pareto"]
@@ -280,6 +331,11 @@ def format_case(case: dict) -> list[str]:
             f"  mmpp: CV {cells['mmpp']['cv']:.3f} over "
             f"{cells['mmpp']['states_visited']} states"
         ),
+        "  count: "
+        + ", ".join(
+            f"{name} {c['z']:+.2f}σ" for name, c in cells["count"].items()
+        )
+        + f" (constant var/mean {cells['count']['constant']['dispersion']:.3f})",
         (
             f"  pareto: hill alpha {cells['pareto']['alpha_hill']:.3f} "
             f"(true {cells['pareto']['alpha_true']})"

@@ -485,6 +485,8 @@ def _run_t14(mode: str) -> dict:
         "poisson/flat_cv": cells["poisson"]["flat_cv"],
         "mmpp/cv": cells["mmpp"]["cv"],
         "mmpp/states_visited": cells["mmpp"]["states_visited"],
+        **{f"count/{name}_z": c["z"] for name, c in cells["count"].items()},
+        "count/constant_dispersion": cells["count"]["constant"]["dispersion"],
         "pareto/alpha_hill": cells["pareto"]["alpha_hill"],
         "pareto/mean_rel_error": cells["pareto"]["mean_rel_error"],
         "replay/count_error": cells["replay"]["count_error"],

@@ -99,6 +99,12 @@ _OPERATOR_KEYS = frozenset(
 _DATASET_KEYS = frozenset(
     {"name", "total_mb", "block_mb", "nodes", "replication"}
 )
+#: Arrival model -> keys it takes besides ``model`` and ``sizes``.
+_ARRIVAL_MODEL_KEYS = {
+    "poisson": frozenset(),
+    "mmpp": frozenset({"factors", "mean_dwell", "horizon"}),
+}
+_SIZES_KEYS = frozenset({"kind", "alpha", "x_min"})
 _CHAOS_KEYS = frozenset({"mtbf", "repair_time", "max_concurrent_failures"})
 _FAULT_KEYS = frozenset({"domain", "at", "duration", "target", "factor"})
 
@@ -309,29 +315,30 @@ def _arrivals(
     duration: float,
 ):
     """Open-loop arrivals for one microservice: ``{"model": "poisson" |
-    "mmpp", ...model kwargs, "sizes": {"kind": "pareto", ...}}``.
+    "mmpp", ...mmpp keys, "sizes": {"kind": "pareto", "alpha", "x_min"}}``.
 
     Streams are per-app (``workload/<name>/arrivals`` / ``…/sizes``) so
     adding a service never shifts a neighbour's draw sequence.
     """
-    params = dict(data)
-    model = params.pop("model", None)
-    sizes = params.pop("sizes", None)
+    model = data.get("model") if isinstance(data, Mapping) else None
+    model_keys = _ARRIVAL_MODEL_KEYS.get(model, frozenset())
+    _check_keys(data, {"model", "sizes"} | model_keys, "arrivals")
+    if model not in _ARRIVAL_MODEL_KEYS:
+        raise ConfigError(f"unknown arrival model {model!r}")
+    params = _pick(data, tuple(model_keys))
     rng = platform.rng.stream(f"workload/{name}/arrivals")
     if model == "poisson":
-        process = PoissonArrivals(trace, rng, **params)
-    elif model == "mmpp":
-        params.setdefault("horizon", duration)
-        process = MMPPArrivals(trace, rng, **params)
+        process = PoissonArrivals(trace, rng)
     else:
-        raise ConfigError(f"unknown arrival model {model!r}")
-    if sizes is not None:
-        sizes = dict(sizes)
-        if sizes.pop("kind", None) != "pareto":
+        process = MMPPArrivals(trace, rng, **{"horizon": duration, **params})
+    if "sizes" in data:
+        sizes = data["sizes"]
+        _check_keys(sizes, _SIZES_KEYS, "arrivals.sizes")
+        if sizes.get("kind") != "pareto":
             raise ConfigError("arrival sizes: only kind 'pareto' is supported")
         process = MarkedArrivals(
             process,
-            ParetoSizes(**sizes),
+            ParetoSizes(**_pick(sizes, ("alpha", "x_min"))),
             platform.rng.stream(f"workload/{name}/sizes"),
         )
     return process

@@ -12,8 +12,8 @@ autoscalers earn their keep.
 The pieces compose:
 
 * :class:`PoissonArrivals` — a non-homogeneous Poisson process (NHPP)
-  driven by any :class:`~repro.workloads.traces.LoadTrace` via Lewis &
-  Shedler thinning.
+  driven by any :class:`~repro.workloads.traces.LoadTrace`: event times
+  via Lewis & Shedler thinning, per-window counts as ``Poisson(∫rate)``.
 * :class:`MMPPArrivals` — a Markov-modulated Poisson process: a hidden
   continuous-time Markov chain multiplies the driving trace's rate by a
   per-state factor, producing the over-dispersed (CV > 1) arrival
@@ -85,14 +85,37 @@ def trace_integral(
 class ArrivalProcess(Protocol):
     """Open-loop request arrivals.
 
-    ``window(t0, t1)`` returns the sorted event times in ``[t0, t1)``.
-    Simulation consumers call it with contiguous, non-overlapping
-    windows (one per model tick); statistical consumers may ask for one
-    large window. Either way the draw sequence is a pure function of
-    the generator's seed and the sequence of windows requested.
+    ``window(t0, t1)`` returns the sorted event times in ``[t0, t1)``:
+    the event-level reference the statistical suite checks.
+    ``count(t0, t1)`` returns only how many events fall there, drawn
+    from ``Poisson(∫rate)`` at a cost that does not grow with the
+    rate; the simulation calls it with contiguous, non-overlapping
+    windows (one per model tick). Either way the draw sequence is a
+    pure function of the generator's seed and the sequence of windows
+    requested.
     """
 
     def window(self, t0: float, t1: float) -> np.ndarray: ...
+
+    def count(self, t0: float, t1: float) -> int: ...
+
+
+#: Composite-midpoint sub-intervals per ``count`` window. Fixed, so a
+#: window costs the same number of ``rate`` calls at any offered load;
+#: midpoints never touch the window edges, so a step trace whose jumps
+#: fall on window boundaries integrates exactly.
+COUNT_POINTS = 8
+
+
+def _midpoint_integral(rate, t0: float, t1: float) -> float:
+    """``∫ rate`` over ``[t0, t1)`` by the composite midpoint rule."""
+    h = (t1 - t0) / COUNT_POINTS
+    return h * sum(rate(t0 + (i + 0.5) * h) for i in range(COUNT_POINTS))
+
+
+def _poisson_count(rng: np.random.Generator, lam: float) -> int:
+    """One ``Poisson(lam)`` draw; no draw at all when ``lam ≤ 0``."""
+    return int(rng.poisson(lam)) if lam > 0 else 0
 
 
 def _estimate_bound(
@@ -109,13 +132,17 @@ def _estimate_bound(
 class PoissonArrivals:
     """Non-homogeneous Poisson arrivals driven by a :class:`LoadTrace`.
 
-    Thinning: candidates arrive homogeneously at an upper bound
-    ``rate_bound`` and are accepted with probability
-    ``rate(t) / rate_bound``. When ``rate_bound`` is ``None`` the bound
-    is estimated per window from a grid scan with a safety margin —
-    exact for traces whose within-window peak the grid sees (constant,
-    monotone, or slowly-varying over a tick); pass an explicit bound
-    for spiky traces.
+    :meth:`count` draws ``Poisson(Λ)`` with ``Λ = ∫rate`` over the
+    window (composite midpoint rule, :data:`COUNT_POINTS` rate calls).
+
+    :meth:`window` draws the event times by thinning: candidates
+    arrive homogeneously at an upper bound ``rate_bound`` and are
+    accepted with probability ``rate(t) / rate_bound``. When
+    ``rate_bound`` is ``None`` the bound is estimated per window from a
+    grid scan with a safety margin — exact for traces whose
+    within-window peak the grid sees (constant, monotone, or
+    slowly-varying over a tick); pass an explicit bound for spiky
+    traces.
 
     Parameters
     ----------
@@ -137,10 +164,12 @@ class PoissonArrivals:
         bound_samples: int = 9,
         bound_margin: float = 1.25,
     ):
-        if rate_bound is not None and rate_bound <= 0:
-            raise ValueError("rate_bound must be positive")
-        if bound_margin < 1.0:
-            raise ValueError("bound_margin must be ≥ 1")
+        if rate_bound is not None and not (
+            math.isfinite(rate_bound) and rate_bound > 0
+        ):
+            raise ValueError("rate_bound must be positive and finite")
+        if not (math.isfinite(bound_margin) and bound_margin >= 1.0):
+            raise ValueError("bound_margin must be finite and ≥ 1")
         self.trace = trace
         self.rng = rng
         self.rate_bound = rate_bound
@@ -174,6 +203,13 @@ class PoissonArrivals:
         )
         return times[accept_u * bound < rates]
 
+    def count(self, t0: float, t1: float) -> int:
+        if t1 <= t0:
+            return 0
+        return _poisson_count(
+            self.rng, _midpoint_integral(self._rate, t0, t1)
+        )
+
 
 class MMPPArrivals:
     """Markov-modulated Poisson arrivals.
@@ -202,10 +238,12 @@ class MMPPArrivals:
     ):
         if len(factors) < 2:
             raise ValueError("need at least two MMPP states")
-        if any(f < 0 for f in factors):
-            raise ValueError("state factors must be non-negative")
-        if mean_dwell <= 0 or horizon <= 0:
-            raise ValueError("mean_dwell and horizon must be positive")
+        if not all(math.isfinite(f) and f >= 0 for f in factors):
+            raise ValueError("state factors must be finite and non-negative")
+        if not all(
+            math.isfinite(v) and v > 0 for v in (mean_dwell, horizon)
+        ):
+            raise ValueError("mean_dwell and horizon must be positive and finite")
         self.trace = trace
         self.rng = rng
         self.factors = tuple(float(f) for f in factors)
@@ -224,8 +262,7 @@ class MMPPArrivals:
         self._switch_times = switch_times
         self._states = states
         self._thin = PoissonArrivals(
-            _ModulatedView(self), rng, rate_bound=rate_bound,
-            bound_samples=17,
+            self, rng, rate_bound=rate_bound, bound_samples=17
         )
 
     def factor_at(self, t: float) -> float:
@@ -236,22 +273,30 @@ class MMPPArrivals:
             idx = 0
         return self.factors[self._states[idx]]
 
+    def _base_rate(self, t: float) -> float:
+        return max(0.0, self.trace.rate(t))
+
     def rate(self, t: float) -> float:
         """Effective (modulated) arrival rate at ``t``."""
-        return max(0.0, self.trace.rate(t)) * self.factor_at(t)
+        return self._base_rate(t) * self.factor_at(t)
 
     def window(self, t0: float, t1: float) -> np.ndarray:
         return self._thin.window(t0, t1)
 
-
-class _ModulatedView:
-    """Adapter exposing an MMPP's effective rate as a LoadTrace."""
-
-    def __init__(self, mmpp: MMPPArrivals):
-        self._mmpp = mmpp
-
-    def rate(self, t: float) -> float:
-        return self._mmpp.rate(t)
+    def count(self, t0: float, t1: float) -> int:
+        """``Poisson(Λ)``, ``Λ`` summed over the window's pieces between
+        pre-drawn state switches, so the modulation integrates exactly."""
+        if t1 <= t0:
+            return 0
+        lo = bisect.bisect_right(self._switch_times, t0)
+        hi = bisect.bisect_left(self._switch_times, t1, lo)
+        cuts = [t0, *self._switch_times[lo:hi], t1]
+        base = self._base_rate
+        lam = sum(
+            self.factor_at(a) * _midpoint_integral(base, a, b)
+            for a, b in zip(cuts, cuts[1:])
+        )
+        return _poisson_count(self.rng, lam)
 
 
 # -- request-size marks ---------------------------------------------------------
@@ -274,10 +319,10 @@ class ParetoSizes:
     """
 
     def __init__(self, alpha: float = 1.6, x_min: float = 1.0):
-        if alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 (finite mean)")
-        if x_min <= 0:
-            raise ValueError("x_min must be positive")
+        if not (math.isfinite(alpha) and alpha > 1.0):
+            raise ValueError("alpha must be finite and exceed 1 (finite mean)")
+        if not (math.isfinite(x_min) and x_min > 0):
+            raise ValueError("x_min must be positive and finite")
         self.alpha = float(alpha)
         self.x_min = float(x_min)
 
@@ -310,11 +355,13 @@ class LognormalSizes:
 class MarkedArrivals:
     """An arrival process with a size mark stapled to every event.
 
-    ``window_marked`` returns ``(times, sizes)``; ``window`` delegates
-    to the underlying process so a marked process still satisfies the
-    plain :class:`ArrivalProcess` protocol. Sizes draw from their own
-    generator (``workload/<app>/sizes``) so arming marks never shifts
-    the arrival-time stream.
+    ``window_marked`` returns ``(times, sizes)`` and ``count_marked``
+    returns ``(n, sizes)``, the ``n`` marks drawn in one call;
+    ``window`` and ``count`` delegate to the underlying process so a
+    marked process still satisfies the plain :class:`ArrivalProcess`
+    protocol. Sizes draw from their own generator
+    (``workload/<app>/sizes``) so arming marks never shifts the arrival
+    stream.
     """
 
     def __init__(
@@ -335,6 +382,13 @@ class MarkedArrivals:
     ) -> tuple[np.ndarray, np.ndarray]:
         times = self.process.window(t0, t1)
         return times, self.sizes.sample(self.rng, len(times))
+
+    def count(self, t0: float, t1: float) -> int:
+        return self.process.count(t0, t1)
+
+    def count_marked(self, t0: float, t1: float) -> tuple[int, np.ndarray]:
+        n = self.process.count(t0, t1)
+        return n, self.sizes.sample(self.rng, n)
 
     def mean_size(self) -> float:
         return self.sizes.mean()

@@ -111,8 +111,8 @@ class Microservice(Application):
     arrivals:
         Optional open-loop arrival process
         (:class:`~repro.workloads.arrivals.ArrivalProcess`). When set,
-        offered load comes from counting its events over each tick
-        window instead of sampling ``trace.rate`` — the discrete stream
+        offered load comes from its event count over each tick window
+        instead of sampling ``trace.rate`` — the discrete stream
         carries the burstiness a rate curve averages away. A
         :class:`~repro.workloads.arrivals.MarkedArrivals` process also
         scales per-request demand by the tick's mean size mark
@@ -168,7 +168,7 @@ class Microservice(Application):
         )
         self.trace = trace
         self.arrivals = arrivals
-        self._marked = arrivals is not None and hasattr(arrivals, "window_marked")
+        self._marked = arrivals is not None and hasattr(arrivals, "count_marked")
         self.current_size_factor = 1.0
         if isinstance(demands, ServiceDemands):
             self._phases = [DemandPhase(0.0, demands)]
@@ -262,18 +262,18 @@ class Microservice(Application):
     def _offered_from_arrivals(self, dt: float, now: float) -> tuple[float, float]:
         """Offered rate and mean-size factor for the tick window.
 
-        The tick at ``now`` covers ``[now - dt, now)``; counting events
-        there keeps the event stream and the rate estimate aligned.
+        The tick at ``now`` covers ``[now - dt, now)``; only the event
+        count there (and its size marks) matters, so the process draws
+        the count without placing the events.
         """
         if self._marked:
-            times, sizes = self.arrivals.window_marked(now - dt, now)
-            if len(times) == 0:
+            n, sizes = self.arrivals.count_marked(now - dt, now)
+            if n == 0:
                 return 0.0, 1.0
             mean = self.arrivals.mean_size()
             factor = float(np.mean(sizes)) / mean if mean > 0 else 1.0
-            return len(times) / dt, max(factor, 1e-6)
-        events = self.arrivals.window(now - dt, now)
-        return len(events) / dt, 1.0
+            return n / dt, max(factor, 1e-6)
+        return self.arrivals.count(now - dt, now) / dt, 1.0
 
     def _sized_demands(
         self, demands: ServiceDemands, factor: float

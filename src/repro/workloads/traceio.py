@@ -301,6 +301,10 @@ class TraceReplayer:
         self._det_t = t1
         return np.asarray(events)
 
+    def count(self, t0: float, t1: float) -> int:
+        """Number of events :meth:`window` replays in ``[t0, t1)``."""
+        return len(self.window(t0, t1))
+
     def events(self, t0: float, t1: float) -> np.ndarray:
         """One-shot replay of ``[t0, t1)`` from a fresh phase."""
         self._det_t = None

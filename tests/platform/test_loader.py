@@ -282,6 +282,35 @@ class TestConfigBoundaries:
                  r"faults\[0\]\.factor must be in \(0, 1\)")
                 for factor in (0, 2.5, -1)
             ),
+            *(
+                ({"workloads": [_micro(arrivals={"model": "mmpp", **bad})]},
+                 r"workloads\[0\] \('web'\): .*must be .*finite")
+                for bad in (
+                    {"factors": [float("nan"), 1.0]},
+                    {"factors": [float("inf"), 1.0]},
+                    {"mean_dwell": float("nan")},
+                    {"horizon": float("nan")},
+                    {"sizes": {"kind": "pareto", "alpha": float("nan")}},
+                    {"sizes": {"kind": "pareto", "x_min": float("inf")}},
+                )
+            ),
+            *(
+                ({"workloads": [_micro(arrivals=arrivals)]},
+                 r"workloads\[0\] \('web'\): arrivals: unknown key\(s\) "
+                 + repr(key))
+                for arrivals, key in (
+                    ({"model": "mmpp", "bogus": 1}, "bogus"),
+                    ({"model": "poisson", "rate_bound": 100.0}, "rate_bound"),
+                    ({"model": "poisson", "bound_margin": 1.5}, "bound_margin"),
+                    ({"model": "mmpp", "bound_samples": 9}, "bound_samples"),
+                    ({"model": "poisson", "factors": [1, 2]}, "factors"),
+                )
+            ),
+            ({"workloads": [_micro(arrivals=["mmpp"])]},
+             r"workloads\[0\] \('web'\): arrivals: expected an object"),
+            ({"workloads": [_micro(arrivals={
+                "model": "poisson", "sizes": {"kind": "pareto", "beta": 2}})]},
+             r"workloads\[0\] \('web'\): arrivals\.sizes: unknown key"),
         ],
     )
     def test_rejected_with_config_error(self, config, match):

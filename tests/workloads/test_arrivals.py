@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads.arrivals import (
+    COUNT_POINTS,
     CorrelatedSurge,
     DiurnalModulator,
     LognormalSizes,
@@ -19,6 +20,29 @@ from repro.workloads.traces import ConstantTrace, DiurnalTrace, StepTrace
 
 def _rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class _LambdaRecorder:
+    """Stands in for a generator's ``poisson``: records each Λ asked for."""
+
+    def __init__(self):
+        self.lams: list[float] = []
+
+    def poisson(self, lam):
+        self.lams.append(lam)
+        return 0
+
+
+class _CountingTrace:
+    """A load trace that counts its ``rate`` calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def rate(self, t: float) -> float:
+        self.calls += 1
+        return self.base.rate(t)
 
 
 class TestTraceIntegral:
@@ -69,6 +93,40 @@ class TestPoissonArrivals:
         events = proc.window(0.0, 500.0)
         assert len(events) == pytest.approx(5000, rel=0.1)
 
+    def test_count_of_empty_or_zero_rate_window_draws_nothing(self):
+        rng = _rng(1)
+        state = rng.bit_generator.state
+        assert PoissonArrivals(ConstantTrace(5.0), rng).count(10.0, 10.0) == 0
+        assert PoissonArrivals(ConstantTrace(5.0), rng).count(10.0, 5.0) == 0
+        assert PoissonArrivals(ConstantTrace(0.0), rng).count(0.0, 1.0) == 0
+        assert rng.bit_generator.state == state
+
+    def test_count_integrates_step_jumps_on_window_edges_exactly(self):
+        proc = PoissonArrivals(StepTrace([(10.0, 50.0)], initial=20.0), _rng())
+        proc.rng = _LambdaRecorder()
+        proc.count(9.0, 10.0)
+        proc.count(10.0, 11.0)
+        proc.count(9.5, 10.5)
+        assert proc.rng.lams == [20.0, 50.0, 35.0]
+
+    @pytest.mark.parametrize("make", ["poisson", "mmpp"])
+    def test_count_cost_is_flat_in_offered_load(self, make):
+        # Same number of rate() calls at 10 and 1000 req/s; only the
+        # counts scale.
+        calls, totals = [], []
+        for level in (10.0, 1000.0):
+            trace = _CountingTrace(ConstantTrace(level))
+            if make == "poisson":
+                proc = PoissonArrivals(trace, _rng(4))
+            else:
+                proc = MMPPArrivals(trace, _rng(4), horizon=100.0)
+            totals.append(sum(proc.count(t, t + 1.0) for t in range(100)))
+            calls.append(trace.calls)
+        assert calls[0] == calls[1]
+        if make == "poisson":
+            assert calls[0] == 100 * COUNT_POINTS
+        assert 80.0 < totals[1] / totals[0] < 125.0
+
 
 class TestMMPPArrivals:
     def test_validation(self):
@@ -78,6 +136,18 @@ class TestMMPPArrivals:
             MMPPArrivals(ConstantTrace(1.0), _rng(), factors=(-1.0, 1.0))
         with pytest.raises(ValueError):
             MMPPArrivals(ConstantTrace(1.0), _rng(), mean_dwell=0.0)
+
+    def test_count_sums_factor_times_integral_over_state_pieces(self):
+        trace = _CountingTrace(DiurnalTrace(base=40.0, amplitude=25.0,
+                                            period=300.0))
+        proc = MMPPArrivals(trace, _rng(6), mean_dwell=20.0, horizon=600.0)
+        proc.rng = _LambdaRecorder()
+        proc.count(100.0, 200.0)
+        switches = sum(100.0 < t < 200.0 for t in proc._switch_times)
+        assert switches > 0
+        assert trace.calls == COUNT_POINTS * (switches + 1)
+        reference = trace_integral(proc, 100.0, 200.0, step=1e-3)
+        assert proc.rng.lams[0] == pytest.approx(reference, rel=1e-3)
 
     def test_factor_path_piecewise_constant(self):
         proc = MMPPArrivals(
@@ -139,6 +209,48 @@ class TestMarkedArrivals:
         np.testing.assert_array_equal(
             marked.window(0.0, 50.0), twin.window(0.0, 50.0)
         )
+
+    def test_count_marked_draws_n_marks_in_one_call(self):
+        marked = MarkedArrivals(
+            PoissonArrivals(ConstantTrace(10.0), _rng(9)),
+            ParetoSizes(alpha=1.6),
+            _rng(10),
+        )
+        twin = PoissonArrivals(ConstantTrace(10.0), _rng(9))
+        n, sizes = marked.count_marked(0.0, 100.0)
+        assert n == twin.count(0.0, 100.0) > 0
+        np.testing.assert_array_equal(
+            sizes, ParetoSizes(alpha=1.6).sample(_rng(10), n)
+        )
+        assert marked.count(100.0, 200.0) == twin.count(100.0, 200.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PoissonArrivals(ConstantTrace(1.0), _rng(), rate_bound=_NAN),
+        lambda: PoissonArrivals(ConstantTrace(1.0), _rng(), rate_bound=_INF),
+        lambda: PoissonArrivals(ConstantTrace(1.0), _rng(), bound_margin=_NAN),
+        lambda: MMPPArrivals(ConstantTrace(1.0), _rng(), factors=(_NAN, 1.0)),
+        lambda: MMPPArrivals(ConstantTrace(1.0), _rng(), factors=(_INF, 1.0)),
+        lambda: MMPPArrivals(ConstantTrace(1.0), _rng(), mean_dwell=_NAN),
+        lambda: MMPPArrivals(ConstantTrace(1.0), _rng(), horizon=_NAN),
+        lambda: MMPPArrivals(ConstantTrace(1.0), _rng(), horizon=_INF),
+        lambda: ParetoSizes(alpha=_NAN),
+        lambda: ParetoSizes(x_min=_INF),
+    ],
+    ids=[
+        "rate_bound-nan", "rate_bound-inf", "bound_margin-nan",
+        "factors-nan", "factors-inf", "mean_dwell-nan", "horizon-nan",
+        "horizon-inf", "alpha-nan", "x_min-inf",
+    ],
+)
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestModulators:

@@ -44,18 +44,26 @@ def _hill_alpha(samples: np.ndarray, top_frac: float = 0.1) -> float:
     return float(1.0 / np.mean(np.log(tail[:-1] / tail[-1])))
 
 
+_MEAN_RATE_TRACES = pytest.mark.parametrize(
+    "trace",
+    [
+        ConstantTrace(30.0),
+        DiurnalTrace(base=40.0, amplitude=25.0, period=1200.0),
+        StepTrace([(900.0, 60.0), (1800.0, 15.0)], initial=30.0),
+    ],
+    ids=["constant", "diurnal", "step"],
+)
+
+
+def _tick_counts(proc, horizon: float) -> np.ndarray:
+    """``count()`` over contiguous 1 s windows, as the simulation asks."""
+    return np.array([proc.count(t, t + 1.0) for t in np.arange(0.0, horizon)])
+
+
 class TestMeanRate:
     """Delivered events ≈ ∫rate dt for every generator."""
 
-    @pytest.mark.parametrize(
-        "trace",
-        [
-            ConstantTrace(30.0),
-            DiurnalTrace(base=40.0, amplitude=25.0, period=1200.0),
-            StepTrace([(900.0, 60.0), (1800.0, 15.0)], initial=30.0),
-        ],
-        ids=["constant", "diurnal", "step"],
-    )
+    @_MEAN_RATE_TRACES
     def test_poisson_delivers_the_integral(self, trace):
         horizon = 3600.0
         events = PoissonArrivals(trace, _rng(21)).window(0.0, horizon)
@@ -75,6 +83,23 @@ class TestMeanRate:
         events = proc.window(0.0, 3600.0)
         expected = trace_integral(proc, 0.0, 3600.0)
         assert abs(len(events) - expected) < 4.0 * np.sqrt(expected)
+
+    @_MEAN_RATE_TRACES
+    def test_poisson_count_delivers_the_integral(self, trace):
+        counts = _tick_counts(PoissonArrivals(trace, _rng(21)), 3600.0)
+        expected = trace_integral(trace, 0.0, 3600.0)
+        assert abs(counts.sum() - expected) < 4.0 * np.sqrt(expected)
+
+    def test_poisson_count_is_poisson_dispersed(self):
+        counts = _tick_counts(PoissonArrivals(ConstantTrace(30.0), _rng(21)),
+                              3600.0)
+        assert counts.var() / counts.mean() == pytest.approx(1.0, abs=0.1)
+
+    def test_mmpp_count_delivers_the_modulated_integral(self):
+        proc = MMPPArrivals(ConstantTrace(30.0), _rng(22), horizon=3600.0)
+        counts = _tick_counts(proc, 3600.0)
+        expected = trace_integral(proc, 0.0, 3600.0)
+        assert abs(counts.sum() - expected) < 4.0 * np.sqrt(expected)
 
 
 class TestDispersion:

@@ -148,6 +148,12 @@ class TestTraceReplayer:
         stitched = np.concatenate(chunks)
         np.testing.assert_allclose(stitched, one_shot)
 
+    def test_contiguous_counts_sum_to_the_one_shot_stream(self):
+        loaded = load_trace(GOLDEN)
+        windowed = TraceReplayer(loaded)
+        counts = [windowed.count(a, a + 15.0) for a in np.arange(0, 120, 15)]
+        assert sum(counts) == GOLDEN_EVENTS
+
     def test_non_contiguous_window_resets_phase(self):
         replayer = TraceReplayer(ConstantTrace(1.0))
         first = replayer.window(0.0, 10.0)
