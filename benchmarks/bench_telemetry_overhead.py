@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import pstats
 import time
 
 from repro.analysis.report import format_table
@@ -73,7 +72,12 @@ def _profiled_run(*, telemetry: bool, apps: int, duration: float):
     profiler.enable()
     platform.run(duration)
     profiler.disable()
-    return pstats.Stats(profiler).total_calls, platform
+    # Summed over the raw per-code-object entries: ``pstats`` keys them by
+    # (file, line, name) and drops all but one of the colliding exec-made
+    # functions (every dataclass ``__init__`` is ``<string>:2``), which
+    # one depending on memory addresses rather than on the seed.
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    return calls, platform
 
 
 def _timed_run(*, telemetry: bool, apps: int, duration: float) -> float:

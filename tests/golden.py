@@ -1,8 +1,9 @@
 """Golden behaviour pins: seeded outputs that must not move silently.
 
-``tests/data/golden_bench.json`` holds the smoke ``metrics`` blocks of
-R-T7, R-T10, R-T11, R-T12, R-F11 and the arena, digests of fuzz episodes 0-6 at run
-seed 7, and the Python/numpy versions they were generated with.
+``tests/data/golden_bench.json`` holds the smoke ``metrics`` block and
+``events_executed`` count of every runner experiment, digests of fuzz
+episodes 0-6 at run seed 7, and the Python/numpy versions they were
+generated with.
 ``tests/test_golden.py`` reruns the fast subset on every test run; the
 CI bench job compares every pinned block of its ``BENCH_*.json``
 artifacts (the full 36-cell arena included)::
@@ -27,8 +28,6 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_bench.json"
-#: Runner experiments whose smoke ``metrics`` block is pinned.
-BENCH = ("t7", "t10", "t11", "t12", "f11", "arena")
 FUZZ_RUN_SEED = 7
 FUZZ_EPISODES = tuple(range(7))
 
@@ -58,12 +57,19 @@ def differences(got, want, path: str = "") -> list[str]:
     return [f"{path or '/'}: got {got!r}, pinned {want!r}"]
 
 
-def bench_metrics(name: str) -> dict:
-    """The smoke ``metrics`` block of runner experiment ``name``."""
+def bench_names() -> tuple[str, ...]:
+    """Every runner experiment; each one's smoke run is pinned."""
+    from benchmarks.runner import REGISTRY
+
+    return tuple(REGISTRY)
+
+
+def bench_pin(name: str) -> tuple[dict, int | None]:
+    """The smoke ``metrics`` block and ``events_executed`` of ``name``."""
     from benchmarks.runner import REGISTRY, run_experiment
 
     payload = run_experiment(REGISTRY[name], "smoke")
-    return json.loads(json.dumps(payload["metrics"]))
+    return json.loads(json.dumps(payload["metrics"])), payload["events_executed"]
 
 
 def _sha(value) -> str:
@@ -95,9 +101,11 @@ def fuzz_digest(index: int) -> dict:
 
 
 def generate() -> dict:
+    pins = {name: bench_pin(name) for name in bench_names()}
     return {
         "versions": versions(),
-        "metrics": {name: bench_metrics(name) for name in BENCH},
+        "metrics": {name: metrics for name, (metrics, _) in pins.items()},
+        "events_executed": {name: events for name, (_, events) in pins.items()},
         "fuzz": {
             "run_seed": FUZZ_RUN_SEED,
             "episodes": [fuzz_digest(i) for i in FUZZ_EPISODES],
@@ -109,15 +117,23 @@ def check_artifacts(directory: Path) -> list[str]:
     """Compare the pinned blocks of ``BENCH_*.json`` files in ``directory``."""
     golden = load()
     problems = []
-    for name in BENCH:
+    for name in golden["metrics"]:
         path = directory / f"BENCH_{name}.json"
         if not path.is_file():
             problems.append(f"{name}: {path} missing")
             continue
-        got = json.loads(path.read_text())["metrics"]
+        got = json.loads(path.read_text())
         problems += [
             f"{name}{d}"
-            for d in differences(got, golden["metrics"][name])
+            for d in differences(got["metrics"], golden["metrics"][name])
+        ]
+        problems += [
+            f"{name}{d}"
+            for d in differences(
+                got["events_executed"],
+                golden["events_executed"][name],
+                "/events_executed",
+            )
         ]
     if problems and golden["versions"] != versions():
         problems.append(
@@ -148,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     if problems:
         return 1
-    print(f"golden pins match ({', '.join(BENCH)})")
+    print(f"golden pins match ({len(load()['metrics'])} experiments)")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Seeded outputs pinned in tests/data/golden_bench.json (see tests/golden.py).
 
-Reruns the fast subset: the R-T7/R-T10/R-T11/R-T12/R-F11 smoke metrics
-blocks, the adaptive column of the arena (one cell per pack scenario) and
+Reruns the fast subset: the R-T7/R-T9/R-T10/R-T11/R-T12/R-F2/R-F3/R-F11/
+R-F12 smoke metrics blocks and event counts, the adaptive column of the arena (one cell per pack scenario) and
 fuzz episodes 0-6 at run seed 7. Any difference is a behaviour change; if it
 is intended, re-pin in the same change (docs/testing.md).
 """
@@ -26,9 +26,18 @@ def _assert_pinned(got, want, label: str) -> None:
     assert not diffs, f"{label} moved from its pin:\n" + "\n".join(diffs)
 
 
-@pytest.mark.parametrize("name", ("t7", "t10", "t11", "t12", "f11"))
+def test_every_registry_experiment_is_pinned():
+    assert set(PINS["metrics"]) == set(golden.bench_names())
+    assert set(PINS["events_executed"]) == set(golden.bench_names())
+
+
+@pytest.mark.parametrize(
+    "name", ("t7", "t9", "t10", "t11", "t12", "f2", "f3", "f11", "f12")
+)
 def test_bench_smoke_metrics_match_pin(name):
-    _assert_pinned(golden.bench_metrics(name), PINS["metrics"][name], name)
+    metrics, events = golden.bench_pin(name)
+    _assert_pinned(metrics, PINS["metrics"][name], name)
+    assert events == PINS["events_executed"][name], name
 
 
 @pytest.mark.parametrize(
