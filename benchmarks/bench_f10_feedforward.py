@@ -9,7 +9,7 @@ instant step (nothing to anticipate — feedback is already slammed to its
 output rail by the time the loop runs).
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
@@ -25,6 +25,7 @@ from repro.workloads.traces import (
     StepTrace,
 )
 
+SEED = 6
 SURGE_AT = 1800.0
 DURATION = 3600.0
 
@@ -37,12 +38,18 @@ SURGES = {
     "ramp (5 min)": lambda: RampTrace(SURGE_AT, SURGE_AT + 300.0, 60.0, 360.0),
     "instant step": lambda: StepTrace([(0.0, 60.0), (SURGE_AT, 360.0)]),
 }
+#: mode -> surge shapes
+GRIDS = {"smoke": ("flash crowd",), "full": tuple(SURGES)}
 
 
-def run_surge(trace_factory, feedforward: bool) -> float:
+def _label(name: str) -> str:
+    return name.split(" (")[0].replace(" ", "_")
+
+
+def run_surge(trace_factory, feedforward: bool, seed: int):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=4),
-        config=PlatformConfig(seed=6),
+        config=PlatformConfig(seed=seed),
         policy="adaptive",
         policy_kwargs={"horizontal": False, "feedforward": feedforward},
     )
@@ -54,44 +61,60 @@ def run_surge(trace_factory, feedforward: bool) -> float:
         plo=LatencyPLO(0.05, window=30),
     )
     platform.run(DURATION)
-    return platform.result().trackers["svc"].violation_seconds
+    return (platform.result().trackers["svc"].violation_seconds,
+            platform.engine.events_executed)
 
 
-@pytest.mark.benchmark(group="f10-feedforward", min_rounds=1, max_time=1)
-def test_f10_feedforward(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    events = 0
+    metrics: dict = {}
+    for name in GRIDS[mode]:
+        for feedforward in (False, True):
+            suffix = "feedforward" if feedforward else "feedback"
+            metrics[f"violation_s/{_label(name)}/{suffix}"], run_events = (
+                run_surge(SURGES[name], feedforward, seed))
+            events += run_events
+    metrics["flash_saving"] = 1 - (
+        metrics["violation_s/flash_crowd/feedforward"]
+        / max(metrics["violation_s/flash_crowd/feedback"], 1e-9))
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "surges": GRIDS[mode],
+    }
 
-    def experiment():
-        for name, factory in SURGES.items():
-            for ff in (False, True):
-                key = (name, ff)
-                if key not in results:
-                    results[key] = run_surge(factory, ff)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+def _seconds(case: dict, name: str) -> tuple[float, float]:
+    """(feedback-only, with feedforward) violation-seconds for a surge."""
+    m, label = case["metrics"], _label(name)
+    return (m[f"violation_s/{label}/feedback"],
+            m[f"violation_s/{label}/feedforward"])
 
+
+def check_case(case: dict) -> None:
+    # Shape: anticipation wins where a rise is visible, never hurts.
+    for name in ("flash crowd", "ramp (5 min)"):
+        if name in case["surges"]:
+            feedback, both = _seconds(case, name)
+            assert both < feedback
+    for name in case["surges"]:
+        feedback, both = _seconds(case, name)
+        assert both <= feedback * 1.1
+
+
+def format_case(case: dict) -> list[str]:
     rows = []
-    for name in SURGES:
-        feedback = results[(name, False)]
-        both = results[(name, True)]
+    for name in case["surges"]:
+        feedback, both = _seconds(case, name)
         saved = 1 - both / feedback if feedback > 0 else 0.0
         rows.append([
             name, f"{feedback:.0f} s", f"{both:.0f} s", f"{saved:.0%}"
         ])
-    report(
-        "",
+    return [
         "R-F10: violation-seconds per surge shape, feedback vs +feedforward",
         format_table(
             ["surge", "feedback only", "with feedforward", "saved"], rows
         ),
-    )
-
-    benchmark.extra_info["flash_saving"] = (
-        1 - results[("flash crowd", True)] / results[("flash crowd", False)]
-    )
-    # Shape: anticipation wins where a rise is visible, never hurts.
-    assert results[("flash crowd", True)] < results[("flash crowd", False)]
-    assert results[("ramp (5 min)", True)] < results[("ramp (5 min)", False)]
-    for name in SURGES:
-        assert results[(name, True)] <= results[(name, False)] * 1.1
+    ]

@@ -7,20 +7,31 @@ sub-linearly with step size: actuation is error-proportional, so a
 bigger violation produces a bigger correction.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import recovery_time
 from benchmarks.scenarios import HOUR, build_platform, step_load_service
 
+SEED = 7
 STEP_AT = HOUR / 2
 DURATION = 1.5 * HOUR
-FACTORS = (2.0, 4.0, 6.0)
+#: mode -> (step factor, adaptive gains) combinations
+GRIDS = {
+    "smoke": ((4.0, True),),
+    "full": tuple(
+        (factor, adaptive)
+        for factor in (2.0, 4.0, 6.0) for adaptive in (True, False)),
+}
 
 
-def run_step(factor: float, adaptive: bool):
+def _label(factor: float, adaptive: bool) -> str:
+    return f"{factor:g}x_{'adaptive' if adaptive else 'fixed'}"
+
+
+def run_step(factor: float, adaptive: bool, seed: int):
     platform = build_platform(
-        "adaptive", nodes=4, seed=7,
+        "adaptive", nodes=4, seed=seed,
         policy_kwargs={"horizontal": False, "adaptive": adaptive},
     )
     app = step_load_service(platform, factor=factor, step_at=STEP_AT)
@@ -32,46 +43,55 @@ def run_step(factor: float, adaptive: bool):
         (v for t, v in zip(times, values) if t >= STEP_AT), default=0.0
     )
     violation = platform.result().trackers[app].violation_fraction
-    return settle, peak, violation
+    return settle, peak, violation, platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f2-convergence", min_rounds=1, max_time=1)
-def test_f2_convergence(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    events = 0
+    metrics: dict = {}
+    violations = {}
+    for factor, adaptive in GRIDS[mode]:
+        label = _label(factor, adaptive)
+        settle, peak, violations[label], run_events = run_step(
+            factor, adaptive, seed)
+        metrics[f"recovery_s/{label}"] = settle
+        metrics[f"peak_ratio/{label}"] = peak
+        events += run_events
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "combos": GRIDS[mode],
+        "violations": violations,
+    }
 
-    def experiment():
-        for factor in FACTORS:
-            for adaptive in (True, False):
-                key = (factor, adaptive)
-                if key not in results:
-                    results[key] = run_step(factor, adaptive)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+def check_case(case: dict) -> None:
+    # Shape: the loop settles for every step size, within minutes.
+    for factor, adaptive in case["combos"]:
+        if adaptive:
+            settle = case["metrics"][f"recovery_s/{_label(factor, adaptive)}"]
+            assert settle is not None
+            assert settle < 600.0
 
+
+def format_case(case: dict) -> list[str]:
     rows = []
-    for factor in FACTORS:
-        for adaptive in (True, False):
-            settle, peak, violation = results[(factor, adaptive)]
-            rows.append([
-                f"{factor:.0f}x",
-                "adaptive" if adaptive else "fixed",
-                "n/a" if settle is None else f"{settle:.0f} s",
-                f"{peak:.1f}x",
-                f"{violation:.1%}",
-            ])
-    report(
-        "",
+    for factor, adaptive in case["combos"]:
+        label = _label(factor, adaptive)
+        settle = case["metrics"][f"recovery_s/{label}"]
+        rows.append([
+            f"{factor:.0f}x",
+            "adaptive" if adaptive else "fixed",
+            "n/a" if settle is None else f"{settle:.0f} s",
+            f"{case['metrics'][f'peak_ratio/{label}']:.1f}x",
+            f"{case['violations'][label]:.1%}",
+        ])
+    return [
         "R-F2: recovery time and peak PLO ratio after a load step",
         format_table(
             ["step", "gains", "recovery time", "peak ratio", "violation time"],
             rows,
         ),
-    )
-
-    # Shape: the loop settles for every step size, within minutes.
-    for factor in FACTORS:
-        settle, _peak, _v = results[(factor, True)]
-        assert settle is not None
-        assert settle < 600.0
-    benchmark.extra_info["settle_6x"] = results[(6.0, True)][0]
+    ]

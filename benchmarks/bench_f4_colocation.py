@@ -7,7 +7,7 @@ the converged cluster runs hotter (one pool absorbs every world's peaks)
 and serves gangs that the HPC silo cannot even admit.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from benchmarks.scenarios import (
@@ -18,69 +18,81 @@ from benchmarks.scenarios import (
     deploy_service_mix,
 )
 
-DURATION = 4 * HOUR
+SEED = 31
 BUCKET = 1800.0
+#: mode -> (schedulers, simulated seconds, HPC gangs)
+GRIDS = {
+    "smoke": (("converged",), 2 * HOUR, 2),
+    "full": (("converged", "siloed"), 4 * HOUR, 4),
+}
 
 
-def run_scheduler(scheduler: str):
-    platform = build_platform("adaptive", nodes=6, seed=31, scheduler=scheduler)
-    deploy_service_mix(platform)
-    deploy_batch_churn(platform, start=0.25 * HOUR)
-    gangs = deploy_hpc_stream(platform, count=4, spacing=0.75 * HOUR)
-    platform.run(DURATION)
-    series = platform.collector.series("cluster/usage_frac/cpu")
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    schedulers, duration, count = GRIDS[mode]
+    events = 0
+    metrics: dict = {}
     usage = {}
-    for bucket_start in range(0, int(DURATION), int(BUCKET)):
-        mean = series.integrate(bucket_start, bucket_start + BUCKET) / BUCKET
-        usage[bucket_start] = mean
-    return usage, gangs, platform.result()
+    waits = {}
+    for scheduler in schedulers:
+        platform = build_platform("adaptive", nodes=6, seed=seed,
+                                  scheduler=scheduler)
+        deploy_service_mix(platform)
+        deploy_batch_churn(platform, start=0.25 * HOUR)
+        gangs = deploy_hpc_stream(platform, count=count, spacing=0.75 * HOUR)
+        platform.run(duration)
+        result = platform.result()
+        series = platform.collector.series("cluster/usage_frac/cpu")
+        metrics[f"mean_cpu_usage/{scheduler}"] = (
+            series.integrate(0.0, duration) / duration)
+        waits[scheduler] = {g: result.hpc_waits.get(g) for g in gangs}
+        metrics[f"gangs_served/{scheduler}"] = sum(
+            1 for w in waits[scheduler].values() if w is not None)
+        usage[scheduler] = {
+            start: series.integrate(start, start + BUCKET) / BUCKET
+            for start in range(0, int(duration), int(BUCKET))
+        }
+        events += platform.engine.events_executed
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "gangs": gangs,
+        "usage": usage,
+        "waits": waits,
+    }
 
 
-@pytest.mark.benchmark(group="f4-colocation", min_rounds=1, max_time=1)
-def test_f4_colocation(benchmark, report):
-    results = {}
-
-    def experiment():
-        for scheduler in ("converged", "siloed"):
-            if scheduler not in results:
-                results[scheduler] = run_scheduler(scheduler)
-        return results
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    conv_usage, gangs, conv = results["converged"]
-    silo_usage, _gangs, silo = results["siloed"]
-    rows = [
-        [f"{t / 60:.0f}-{(t + BUCKET) / 60:.0f}",
-         f"{conv_usage[t]:.1%}", f"{silo_usage[t]:.1%}"]
-        for t in sorted(conv_usage)
-    ]
-    report(
-        "",
-        "R-F4: cluster CPU usage per 30-min bucket",
-        format_table(["t (min)", "converged", "siloed"], rows),
-    )
-    wait_rows = []
-    for gang in gangs:
-        wait_rows.append([
-            gang,
-            "never" if conv.hpc_waits[gang] is None
-            else f"{conv.hpc_waits[gang]:.0f} s",
-            "never" if silo.hpc_waits.get(gang) is None else
-            f"{silo.hpc_waits[gang]:.0f} s",
-        ])
-    report(
-        "",
-        "R-F4: HPC gang queue waits",
-        format_table(["gang", "converged", "siloed"], wait_rows),
-    )
-
-    mean_conv = sum(conv_usage.values()) / len(conv_usage)
-    mean_silo = sum(silo_usage.values()) / len(silo_usage)
-    benchmark.extra_info["usage_gain"] = mean_conv / max(mean_silo, 1e-9)
-
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
+    gangs = case["gangs"]
     # Shape: converged sustains materially higher usage and admits every
     # gang; the 2-node HPC silo cannot host 4×8-core gangs at all.
-    assert mean_conv > 1.5 * mean_silo
-    assert all(conv.hpc_waits[g] is not None for g in gangs)
-    assert all(silo.hpc_waits[g] is None for g in gangs)
+    assert metrics["gangs_served/converged"] == len(gangs)
+    if "gangs_served/siloed" in metrics:
+        assert (metrics["mean_cpu_usage/converged"]
+                > 1.5 * metrics["mean_cpu_usage/siloed"])
+        assert metrics["gangs_served/siloed"] == 0
+
+
+def _wait(value: float | None) -> str:
+    return "never" if value is None else f"{value:.0f} s"
+
+
+def format_case(case: dict) -> list[str]:
+    usage, waits = case["usage"], case["waits"]
+    rows = [
+        [f"{t / 60:.0f}-{(t + BUCKET) / 60:.0f}",
+         *(f"{per_bucket[t]:.1%}" for per_bucket in usage.values())]
+        for t in sorted(usage["converged"])
+    ]
+    wait_rows = [
+        [gang, *(_wait(per_gang[gang]) for per_gang in waits.values())]
+        for gang in case["gangs"]
+    ]
+    return [
+        "R-F4: cluster CPU usage per 30-min bucket",
+        format_table(["t (min)", *usage], rows),
+        "R-F4: HPC gang queue waits",
+        format_table(["gang", *waits], wait_rows),
+    ]

@@ -9,7 +9,7 @@ converged follows the data and degrades only when the hot node cannot
 hold every executor.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
@@ -18,14 +18,16 @@ from repro.platform.evolve import EvolvePlatform
 from repro.storage.placement import spread_blocks
 from repro.workloads.bigdata import Stage
 
-SKEWS = (0.0, 0.5, 0.9)
+SEED = 3
 DATASET_MB = 16_000
+#: mode -> placement skews
+GRIDS = {"smoke": (0.9,), "full": (0.0, 0.5, 0.9)}
 
 
-def run_scan(scheduler: str, skew: float):
+def run_scan(scheduler: str, skew: float, seed: int):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=4),
-        config=PlatformConfig(seed=3),
+        config=PlatformConfig(seed=seed),
         scheduler=scheduler,
     )
     spread_blocks(
@@ -40,47 +42,61 @@ def run_scan(scheduler: str, skew: float):
         dataset="logs",
     )
     platform.run(4 * 3600.0)
-    return job.makespan()
+    return job.makespan(), platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f6-locality", min_rounds=1, max_time=1)
-def test_f6_locality(benchmark, report):
-    results = {}
+def _key(scheduler: str, skew: float) -> str:
+    return f"makespan_s/{scheduler}/skew-{skew:g}"
 
-    def experiment():
+
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    events = 0
+    metrics: dict = {}
+    for skew in GRIDS[mode]:
         for scheduler in ("converged", "kube"):
-            for skew in SKEWS:
-                key = (scheduler, skew)
-                if key not in results:
-                    results[key] = run_scan(scheduler, skew)
-        return results
+            metrics[_key(scheduler, skew)], run_events = run_scan(
+                scheduler, skew, seed)
+            events += run_events
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "skews": GRIDS[mode],
+    }
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
 
-    rows = []
-    for skew in SKEWS:
-        conv = results[("converged", skew)]
-        kube = results[("kube", skew)]
-        rows.append([
-            f"{skew:.1f}",
-            f"{conv:.0f} s" if conv else "never",
-            f"{kube:.0f} s" if kube else "never",
-            f"{kube / conv:.2f}x" if conv and kube else "n/a",
-        ])
-    report(
-        "",
-        "R-F6: scan makespan vs dataset placement skew",
-        format_table(["skew", "converged", "kube", "kube/converged"], rows),
-    )
-
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
     # Shape: the locality-aware scheduler wins, and its advantage grows
     # (or at least holds) as the data concentrates.
-    for skew in SKEWS:
-        conv = results[("converged", skew)]
-        kube = results[("kube", skew)]
+    gains = {}
+    for skew in case["skews"]:
+        conv = metrics[_key("converged", skew)]
+        kube = metrics[_key("kube", skew)]
         assert conv is not None and kube is not None
         assert conv <= kube * 1.05
-    gain_spread = results[("kube", 0.0)] / results[("converged", 0.0)]
-    gain_hot = results[("kube", 0.9)] / results[("converged", 0.9)]
-    benchmark.extra_info["gain_at_hot"] = gain_hot
-    assert gain_hot >= 1.1 or gain_spread >= 1.1
+        gains[skew] = kube / conv
+    assert gains.get(0.9, 0.0) >= 1.1 or gains.get(0.0, 0.0) >= 1.1
+
+
+def _secs(value: float | None) -> str:
+    return "never" if value is None else f"{value:.0f} s"
+
+
+def format_case(case: dict) -> list[str]:
+    metrics = case["metrics"]
+    rows = []
+    for skew in case["skews"]:
+        conv = metrics[_key("converged", skew)]
+        kube = metrics[_key("kube", skew)]
+        rows.append([
+            f"{skew:.1f}",
+            _secs(conv),
+            _secs(kube),
+            f"{kube / conv:.2f}x" if conv and kube else "n/a",
+        ])
+    return [
+        "R-F6: scan makespan vs dataset placement skew",
+        format_table(["skew", "converged", "kube", "kube/converged"], rows),
+    ]

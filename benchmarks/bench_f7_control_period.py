@@ -8,7 +8,7 @@ knee. This is the cadence-vs-stability trade every deployed controller
 must pick, so the evaluation documents it.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.cluster.events import PodResized
@@ -16,52 +16,67 @@ from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
 from benchmarks.scenarios import HOUR, deploy_service_mix
 
-PERIODS = (5.0, 10.0, 20.0, 40.0, 80.0)
-DURATION = 3 * HOUR
+SEED = 42
+#: mode -> (control periods, simulated seconds)
+GRIDS = {
+    "smoke": ((10.0, 80.0), HOUR),
+    "full": ((5.0, 10.0, 20.0, 40.0, 80.0), 3 * HOUR),
+}
 
 
-def run_period(period: float):
+def run_period(period: float, duration: float, seed: int):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=6),
-        config=PlatformConfig(seed=42, control_interval=period),
+        config=PlatformConfig(seed=seed, control_interval=period),
         scheduler="converged",
         policy="adaptive",
     )
     resizes = [0]
     platform.api.watch(PodResized, lambda e: resizes.__setitem__(0, resizes[0] + 1))
     deploy_service_mix(platform)
-    platform.run(DURATION)
-    return platform.result().total_violation_fraction(), resizes[0]
+    platform.run(duration)
+    return (platform.result().total_violation_fraction(), resizes[0],
+            platform.engine.events_executed)
 
 
-@pytest.mark.benchmark(group="f7-control-period", min_rounds=1, max_time=1)
-def test_f7_control_period(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    periods, duration = GRIDS[mode]
+    events = 0
+    metrics: dict = {}
+    for period in periods:
+        violations, resizes, run_events = run_period(period, duration, seed)
+        metrics[f"violations/{period:g}s"] = violations
+        metrics[f"resizes/{period:g}s"] = resizes
+        events += run_events
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "periods": periods,
+        "duration": duration,
+    }
 
-    def experiment():
-        for period in PERIODS:
-            if period not in results:
-                results[period] = run_period(period)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = [
-        [f"{period:.0f} s", f"{results[period][0]:.1%}", results[period][1]]
-        for period in PERIODS
-    ]
-    report(
-        "",
-        f"R-F7: violation time and resize churn vs control period "
-        f"(service mix, {DURATION / HOUR:.0f} h)",
-        format_table(["control period", "violation time", "resizes"], rows),
-    )
-
-    fastest = results[PERIODS[0]]
-    slowest = results[PERIODS[-1]]
-    benchmark.extra_info["violations_at_80s"] = slowest[0]
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
+    fastest, slowest = case["periods"][0], case["periods"][-1]
     # Shape: slower loops violate more and resize less.
-    assert slowest[0] > fastest[0]
-    assert slowest[1] < fastest[1]
+    assert metrics[f"violations/{slowest:g}s"] > metrics[f"violations/{fastest:g}s"]
+    assert metrics[f"resizes/{slowest:g}s"] < metrics[f"resizes/{fastest:g}s"]
     # The default period keeps violations in single digits.
-    assert results[10.0][0] < 0.10
+    assert metrics["violations/10s"] < 0.10
+
+
+def format_case(case: dict) -> list[str]:
+    metrics = case["metrics"]
+    rows = [
+        [f"{period:.0f} s", f"{metrics[f'violations/{period:g}s']:.1%}",
+         metrics[f"resizes/{period:g}s"]]
+        for period in case["periods"]
+    ]
+    return [
+        "R-F7: violation time and resize churn vs control period "
+        f"(service mix, {case['duration'] / HOUR:.0f} h)",
+        format_table(["control period", "violation time", "resizes"], rows),
+    ]

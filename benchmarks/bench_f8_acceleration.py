@@ -10,7 +10,7 @@ Shape expected: the preference captures most of the hardware speedup;
 a blind scheduler forfeits it whenever packing pulls executors away.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
@@ -20,9 +20,20 @@ from repro.workloads.bigdata import Stage
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.traces import ConstantTrace
 
+SEED = 9
 GENERAL = ResourceVector(cpu=16, memory=64, disk_bw=500, net_bw=1250)
 FPGA = ResourceVector(cpu=8, memory=32, disk_bw=200, net_bw=1250)
 SPEEDUP = 5.0
+CONFIGS = {
+    "hetero_aware": dict(scheduler="converged", hetero=True, busy_fpga=True),
+    "hetero_blind": dict(scheduler="kube", hetero=True, busy_fpga=True),
+    "cpu_only": dict(scheduler="converged", hetero=False, busy_fpga=False),
+}
+#: mode -> configurations
+GRIDS = {
+    "smoke": ("hetero_aware", "hetero_blind"),
+    "full": ("hetero_aware", "hetero_blind", "cpu_only"),
+}
 
 
 def hetero_spec():
@@ -32,11 +43,10 @@ def hetero_spec():
     ))
 
 
-def run_config(*, scheduler: str, accelerator: str | None, hetero: bool,
-               busy_fpga: bool):
+def run_config(*, scheduler: str, hetero: bool, busy_fpga: bool, seed: int):
     platform = EvolvePlatform(
         cluster_spec=hetero_spec() if hetero else ClusterSpec(node_count=6),
-        config=PlatformConfig(seed=9),
+        config=PlatformConfig(seed=seed),
         scheduler=scheduler,
     )
     if busy_fpga:
@@ -59,49 +69,39 @@ def run_config(*, scheduler: str, accelerator: str | None, hetero: bool,
         ],
         allocation=ResourceVector(cpu=4, memory=8, disk_bw=50, net_bw=50),
         executors=2,
-        accelerator=accelerator,
+        accelerator="fpga",
     )
     platform.run(3 * 3600.0)
-    return job.makespan()
+    return job.makespan(), platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f8-acceleration", min_rounds=1, max_time=1)
-def test_f8_acceleration(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    events = 0
+    metrics: dict = {}
+    for label in GRIDS[mode]:
+        metrics[f"makespan_s/{label}"], run_events = run_config(
+            **CONFIGS[label], seed=seed)
+        events += run_events
+    return {"seed": seed, "events_executed": events, "metrics": metrics}
 
-    def experiment():
-        if not results:
-            results["cpu-only cluster"] = run_config(
-                scheduler="converged", accelerator="fpga", hetero=False,
-                busy_fpga=False,
-            )
-            results["hetero, affinity-aware"] = run_config(
-                scheduler="converged", accelerator="fpga", hetero=True,
-                busy_fpga=True,
-            )
-            results["hetero, blind (kube)"] = run_config(
-                scheduler="kube", accelerator="fpga", hetero=True,
-                busy_fpga=True,
-            )
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = [
-        [name, f"{makespan:.0f} s" if makespan else "never"]
-        for name, makespan in results.items()
-    ]
-    report(
-        "",
-        f"R-F8: accelerable analytics job ({SPEEDUP:.0f}x kernel on FPGA nodes)",
-        format_table(["configuration", "makespan"], rows),
-    )
-
-    cpu_only = results["cpu-only cluster"]
-    aware = results["hetero, affinity-aware"]
-    blind = results["hetero, blind (kube)"]
-    benchmark.extra_info["speedup_vs_cpu"] = cpu_only / aware
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
+    aware = metrics["makespan_s/hetero_aware"]
     # Shape: affinity captures a large share of the 5x kernel speedup;
     # the blind scheduler loses it to packing.
-    assert aware < cpu_only / 1.8
-    assert aware < blind / 1.5
+    if "makespan_s/cpu_only" in metrics:
+        assert aware < metrics["makespan_s/cpu_only"] / 1.8
+    assert aware < metrics["makespan_s/hetero_blind"] / 1.5
+
+
+def format_case(case: dict) -> list[str]:
+    rows = [
+        [name.split("/", 1)[1], f"{makespan:.0f} s" if makespan else "never"]
+        for name, makespan in case["metrics"].items()
+    ]
+    return [
+        f"R-F8: accelerable analytics job ({SPEEDUP:.0f}x kernel on FPGA nodes)",
+        format_table(["configuration", "makespan"], rows),
+    ]

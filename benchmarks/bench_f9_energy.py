@@ -9,82 +9,88 @@ Shape expected: consolidate < spread < siloed energy, with a modest
 violation penalty for consolidation (less headroom per node).
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.energy import PowerModel, cluster_energy
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform, deploy_service_mix
 
-DURATION = 3 * HOUR
-
+SEED = 42
 CONFIGS = {
-    "converged+consolidate": dict(
-        scheduler="converged", scheduler_kwargs={"packing": "consolidate"}
-    ),
-    "converged+spread": dict(scheduler="converged", scheduler_kwargs={}),
-    "siloed": dict(scheduler="siloed", scheduler_kwargs={}),
+    "consolidate": dict(scheduler="converged",
+                        scheduler_kwargs={"packing": "consolidate"}),
+    "spread": dict(scheduler="converged", scheduler_kwargs=None),
+    "siloed": dict(scheduler="siloed", scheduler_kwargs=None),
+}
+#: mode -> (configurations, simulated seconds)
+GRIDS = {
+    "smoke": (("consolidate", "spread"), 1.5 * HOUR),
+    "full": (tuple(CONFIGS), 3 * HOUR),
 }
 
 
-def run_config(name):
-    cfg = CONFIGS[name]
-    platform = build_platform(
-        "adaptive", nodes=6, seed=42,
-        scheduler=cfg["scheduler"],
-        scheduler_kwargs=cfg["scheduler_kwargs"] or None,
-    )
-    deploy_service_mix(platform)
-    platform.run(DURATION)
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    names, duration = GRIDS[mode]
     model = PowerModel()
-    report = cluster_energy(
-        platform.collector, list(platform.cluster.nodes),
-        start=0.0, end=DURATION, model=model,
-    )
-    parked_kwh_per_node = model.parked_watts * DURATION / 3.6e6
-    parked_nodes = sum(
-        1 for kwh in report.per_node_kwh.values()
-        if kwh <= parked_kwh_per_node * 1.05
-    )
-    return report, parked_nodes, platform.result()
+    parked_kwh_per_node = model.parked_watts * duration / 3.6e6
+    events = 0
+    metrics: dict = {}
+    energy = {}
+    parked = {}
+    for name in names:
+        platform = build_platform("adaptive", nodes=6, seed=seed, **CONFIGS[name])
+        deploy_service_mix(platform)
+        platform.run(duration)
+        energy[name] = cluster_energy(
+            platform.collector, list(platform.cluster.nodes),
+            start=0.0, end=duration, model=model)
+        parked[name] = sum(
+            1 for kwh in energy[name].per_node_kwh.values()
+            if kwh <= parked_kwh_per_node * 1.05
+        )
+        metrics[f"energy_kwh/{name}"] = energy[name].total_kwh
+        metrics[f"violations/{name}"] = (
+            platform.result().total_violation_fraction())
+        events += platform.engine.events_executed
+    metrics["energy_saving"] = (
+        1 - metrics["energy_kwh/consolidate"] / metrics["energy_kwh/spread"])
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "duration": duration,
+        "energy": energy,
+        "parked": parked,
+    }
 
 
-@pytest.mark.benchmark(group="f9-energy", min_rounds=1, max_time=1)
-def test_f9_energy(benchmark, report):
-    results = {}
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
+    # Shape: consolidation parks nodes and saves energy without wrecking
+    # the PLOs.
+    assert metrics["energy_kwh/consolidate"] < metrics["energy_kwh/spread"]
+    assert case["parked"]["consolidate"] >= 1
+    assert metrics["violations/consolidate"] < 0.15
 
-    def experiment():
-        for name in CONFIGS:
-            if name not in results:
-                results[name] = run_config(name)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = []
-    for name in CONFIGS:
-        energy, parked, result = results[name]
-        rows.append([
+def format_case(case: dict) -> list[str]:
+    rows = [
+        [
             name,
             f"{energy.total_kwh:.2f} kWh",
             f"{energy.mean_watts:.0f} W",
-            f"{parked}/6",
-            f"{result.total_violation_fraction():.1%}",
-        ])
-    report(
-        "",
-        f"R-F9: cluster energy over {DURATION / HOUR:.0f} h (service mix)",
+            f"{case['parked'][name]}/6",
+            f"{case['metrics'][f'violations/{name}']:.1%}",
+        ]
+        for name, energy in case["energy"].items()
+    ]
+    return [
+        f"R-F9: cluster energy over {case['duration'] / HOUR:.1f} h "
+        "(service mix)",
         format_table(
             ["configuration", "energy", "mean power", "parked nodes",
              "violations"],
             rows,
         ),
-    )
-
-    consolidate = results["converged+consolidate"][0].total_kwh
-    spread = results["converged+spread"][0].total_kwh
-    benchmark.extra_info["energy_saving"] = 1 - consolidate / spread
-    # Shape: consolidation parks nodes and saves energy without wrecking
-    # the PLOs.
-    assert consolidate < spread
-    assert results["converged+consolidate"][1] >= 1
-    assert results["converged+consolidate"][2].total_violation_fraction() < 0.15
+    ]

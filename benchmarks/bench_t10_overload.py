@@ -23,14 +23,10 @@ A separate resilient run takes a correlated fault — a whole availability
 zone dark for five minutes via
 :class:`repro.cluster.chaos.ZoneOutageDomain` — and reports containment
 (blast radius) plus time-to-recover from the fault-recovery report.
-
-Run standalone with ``python -m benchmarks.bench_t10_overload``
-(``--smoke`` for the CI-sized variant).
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
 
 from repro.analysis.recovery import fault_recovery_report, summarize
@@ -42,14 +38,14 @@ from repro.scheduler.admission import SHED_CLASSES
 SEED = OVERLOAD["seed"]
 NODES = OVERLOAD["cluster"]["nodes"]
 ZONES = OVERLOAD["cluster"]["zones"]
-DURATION = 1800.0
 #: Web offered load at 1×; demands are 100 rps/core so this is ~6 cores.
 BASE_RATE = OVERLOAD["workloads"][0]["trace"]["base"]["value"]
-LOAD_FACTORS = (1.0, 2.0, 4.0)
+#: mode -> (seconds per point, web load factors)
+GRIDS = {"smoke": (900.0, (1.0, 4.0)), "full": (1800.0, (1.0, 2.0, 4.0))}
 
 
 def _config(
-    *, factor: float, resilient: bool, duration: float, faults=()
+    *, factor: float, resilient: bool, duration: float, seed: int, faults=()
 ) -> dict:
     """The shared R-T10 scenario (:data:`repro.platform.presets.OVERLOAD`)
     at ``factor``× web load, with the overload stack on or off."""
@@ -59,7 +55,7 @@ def _config(
     config["workloads"][0]["trace"]["factor"] = factor
     for flag in ("admission", "backpressure", "brownout"):
         config["overload"][flag] = resilient
-    config.update(duration=duration, faults=list(faults))
+    config.update(duration=duration, seed=seed, faults=list(faults))
     return config
 
 
@@ -70,10 +66,10 @@ def _goodput(platform: EvolvePlatform, factor: float, duration: float) -> float:
 
 
 def _run_point(
-    *, factor: float, resilient: bool, duration: float
+    *, factor: float, resilient: bool, duration: float, seed: int
 ) -> dict:
     platform, _ = platform_from_dict(
-        _config(factor=factor, resilient=resilient, duration=duration)
+        _config(factor=factor, resilient=resilient, duration=duration, seed=seed)
     )
     platform.run(duration)
     web = platform.apps["web"]
@@ -96,12 +92,13 @@ def _run_point(
     }
 
 
-def _run_zone_outage(*, duration: float) -> dict:
+def _run_zone_outage(*, duration: float, seed: int) -> dict:
     """Resilient build riding out a five-minute zone outage at 2× load."""
     outage = {"domain": "zone-outage", "at": duration / 3.0,
               "duration": 300.0, "target": 0}
     platform, _ = platform_from_dict(
-        _config(factor=2.0, resilient=True, duration=duration, faults=[outage])
+        _config(factor=2.0, resilient=True, duration=duration, seed=seed,
+                faults=[outage])
     )
     platform.run(duration)
     platform.result()  # closes any danglers before the recovery report
@@ -124,24 +121,44 @@ def _run_zone_outage(*, duration: float) -> dict:
     }
 
 
-def run_case(
-    *,
-    duration: float = DURATION,
-    factors: tuple[float, ...] = LOAD_FACTORS,
-) -> dict:
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    duration, factors = GRIDS[mode]
     curve = {
         resilient: [
-            _run_point(factor=f, resilient=resilient, duration=duration)
+            _run_point(factor=f, resilient=resilient, duration=duration,
+                       seed=seed)
             for f in factors
         ]
         for resilient in (True, False)
     }
+    outage = _run_zone_outage(duration=duration, seed=seed)
+    res_1x, res_peak = curve[True][0], curve[True][-1]
+    shed = res_peak["shed_by_class"]
+    metrics = {
+        "goodput/resilient-1x": res_1x["goodput"],
+        "goodput/resilient-peak": res_peak["goodput"],
+        "goodput/baseline-peak": curve[False][-1]["goodput"],
+        "shed_total": res_peak["shed_total"],
+        "shed/best-effort": shed["best-effort"],
+        "shed/batch": shed["batch"],
+        "running_evictions": res_peak["evicted_running"],
+        "brownout_duty": res_peak["brownout_duty"],
+        "outage/pods_displaced": outage["pods_displaced"],
+        "outage/time_to_recover_s": outage["time_to_recover_s"],
+    }
+    events = sum(
+        p["events"] for p in curve[True] + curve[False]
+    ) + outage["events"]
     return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
         "duration": duration,
         "factors": factors,
         "resilient": curve[True],
         "baseline": curve[False],
-        "outage": _run_zone_outage(duration=duration),
+        "outage": outage,
     }
 
 
@@ -218,32 +235,3 @@ def format_case(case: dict) -> list[str]:
         f"goodput@2x={outage['goodput']:.3f}"
     )
     return lines
-
-
-def test_overload(report) -> None:
-    case = run_case()
-    report(*format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter runs, 1x/4x only, same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(duration=900.0, factors=(1.0, 4.0))
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T10 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -23,20 +23,14 @@ task-granular engine must match the fluid model's makespan — fault
 tolerance is free until a fault actually lands. The baseline rides
 through the same schedule on its optimistic fluid model, which simply
 cannot see most of these faults — the fidelity gap ft mode closes.
-
-Run standalone with ``python -m benchmarks.bench_t11_dataplane``
-(``--smoke`` for the CI-sized variant).
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.platform.loader import platform_from_dict
 from repro.platform.presets import DATA_FAULT, fault_cycle
 
 SEED = DATA_FAULT["seed"]
-DURATION = 1800.0
 #: Fault levels: seconds between consecutive faults (None = no faults),
 #: cycling :data:`repro.platform.presets.FAULT_CYCLE`.
 LEVELS: dict[str, float | None] = {
@@ -44,24 +38,30 @@ LEVELS: dict[str, float | None] = {
     "moderate": 240.0,
     "harsh": 120.0,
 }
+#: mode -> (seconds per cell, fault levels)
+GRIDS = {
+    "smoke": (900.0, ("calm", "harsh")),
+    "full": (1800.0, ("calm", "moderate", "harsh")),
+}
 
 
-def _config(*, level: str, ft: bool, duration: float) -> dict:
+def _config(*, level: str, ft: bool, duration: float, seed: int) -> dict:
     """The shared R-T11 scenario (:data:`repro.platform.presets.DATA_FAULT`)
     with fault tolerance on or off under ``level``'s fault schedule —
     the same faults for both builds."""
     period = LEVELS[level]
     return {
         **DATA_FAULT,
+        "seed": seed,
         "duration": duration,
         "data_plane": {"enabled": ft},
         "faults": [] if period is None else fault_cycle(period, duration),
     }
 
 
-def _run_cell(*, level: str, ft: bool, duration: float) -> dict:
+def _run_cell(*, level: str, ft: bool, duration: float, seed: int) -> dict:
     platform, _ = platform_from_dict(
-        _config(level=level, ft=ft, duration=duration)
+        _config(level=level, ft=ft, duration=duration, seed=seed)
     )
     platform.run(duration)
     job = platform.apps["t11-job"]
@@ -112,16 +112,35 @@ def _run_cell(*, level: str, ft: bool, duration: float) -> dict:
     return cell
 
 
-def run_case(
-    *,
-    duration: float = DURATION,
-    levels: tuple[str, ...] = ("calm", "moderate", "harsh"),
-) -> dict:
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    duration, levels = GRIDS[mode]
     cells = {
-        ft: [_run_cell(level=lvl, ft=ft, duration=duration) for lvl in levels]
+        ft: [
+            _run_cell(level=lvl, ft=ft, duration=duration, seed=seed)
+            for lvl in levels
+        ]
         for ft in (True, False)
     }
+    harsh_ft = cells[True][-1]
+    metrics = {
+        "makespan_s/ft-calm": cells[True][0]["makespan"],
+        "makespan_s/ft-harsh": harsh_ft["makespan"],
+        "makespan_s/baseline-calm": cells[False][0]["makespan"],
+        "stream_lag_s/ft-harsh": harsh_ft["stream_lag_seconds"],
+        "executor_losses": harsh_ft["executor_losses"],
+        "lineage_recomputes": harsh_ft["lineage_recomputes"],
+        "reopened_cpu_s": harsh_ft["reopened_work"],
+        "stream_restarts": harsh_ft["stream_restarts"],
+        "stream_replayed": harsh_ft["stream_replayed"],
+        "repair_traffic_mb": harsh_ft["repair_traffic_mb"],
+    }
     return {
+        "seed": seed,
+        "events_executed": sum(
+            c["events"] for c in cells[True] + cells[False]
+        ),
+        "metrics": metrics,
         "duration": duration,
         "levels": levels,
         "ft": cells[True],
@@ -220,33 +239,3 @@ def format_case(case: dict) -> list[str]:
         f"backlog={harsh['repair_backlog']})"
     )
     return lines
-
-
-def test_dataplane(report) -> None:
-    case = run_case()
-    report(*format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter runs, calm/harsh only, "
-        "same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(duration=900.0, levels=("calm", "harsh"))
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T11 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,17 +2,19 @@
 
 Three sub-experiments, each isolating one mechanism:
 
-* **multi-resource vs CPU-only** — the moving-bottleneck service; only a
-  controller that can actuate disk/network fixes phases 2 and 3.
-* **adaptive vs fixed gains** — a 4× load step under deliberately weak
+* **adaptive vs fixed gains** — a 6× load step under deliberately weak
   baseline gains; the tuner detects the sluggish loop and amplifies, the
   fixed controller crawls.
+* **multi-resource vs CPU-only** — the moving-bottleneck service; only a
+  controller that can actuate disk/network fixes phases 2 and 3.
 * **deadband vs none** — a throughput-PLO service at its equilibrium
   (error ≈ 0) with noisy load; without a deadband every metric wiggle
   becomes a resize.
+
+Smoke runs the gains ablation only; full adds the other two.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.cluster.events import PodResized
@@ -28,26 +30,31 @@ from benchmarks.scenarios import (
     step_load_service,
 )
 
-
-def run_shift(policy_kwargs):
-    platform = build_platform("adaptive", nodes=4, seed=7,
-                              policy_kwargs={"horizontal": False, **policy_kwargs})
-    app = phase_shift_service(platform)
-    platform.run(3 * HOUR)
-    return platform.result().trackers[app]
+SEED = 7
+WEAK = PIDGains(kp=0.05, ki=0.005, kd=0.0)
 
 
-def run_step(policy_kwargs):
-    platform = build_platform("adaptive", nodes=4, seed=7,
-                              policy_kwargs={"horizontal": False, **policy_kwargs})
+def _platform(seed: int, policy_kwargs: dict):
+    return build_platform("adaptive", nodes=4, seed=seed,
+                          policy_kwargs={"horizontal": False, **policy_kwargs})
+
+
+def run_step(seed: int, policy_kwargs: dict):
+    platform = _platform(seed, policy_kwargs)
     app = step_load_service(platform, factor=6.0, step_at=HOUR / 2)
     platform.run(1.5 * HOUR)
-    return platform.result().trackers[app]
+    return platform.result().trackers[app].violation_fraction, platform
 
 
-def run_noisy_throughput(policy_kwargs):
-    platform = build_platform("adaptive", nodes=4, seed=7,
-                              policy_kwargs={"horizontal": False, **policy_kwargs})
+def run_shift(seed: int, policy_kwargs: dict):
+    platform = _platform(seed, policy_kwargs)
+    app = phase_shift_service(platform)
+    platform.run(3 * HOUR)
+    return platform.result().trackers[app].violation_fraction, platform
+
+
+def run_noisy_throughput(seed: int, policy_kwargs: dict):
+    platform = _platform(seed, policy_kwargs)
     resizes = [0]
     platform.api.watch(PodResized, lambda e: resizes.__setitem__(0, resizes[0] + 1))
     # Target equals the mean offered rate: at the controller's equilibrium
@@ -63,56 +70,70 @@ def run_noisy_throughput(policy_kwargs):
         plo=ThroughputPLO(100.0, window=30),
     )
     platform.run(2 * HOUR)
-    return platform.result().trackers["pipe"], resizes[0]
+    return (resizes[0], platform.result().trackers["pipe"].violation_fraction,
+            platform)
 
 
-WEAK = PIDGains(kp=0.05, ki=0.005, kd=0.0)
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    events = 0
+    metrics: dict = {}
+    noisy_violations = {}
+    for label, kwargs in (("adaptive_weak", {"gains": WEAK}),
+                          ("fixed_weak", {"gains": WEAK, "adaptive": False})):
+        metrics[f"violations/{label}"], platform = run_step(seed, kwargs)
+        events += platform.engine.events_executed
+    if mode == "full":
+        for label, kwargs in (("multi", {}), ("cpu_only", {"dimensions": ("cpu",)})):
+            metrics[f"violations/{label}"], platform = run_shift(seed, kwargs)
+            events += platform.engine.events_executed
+        for label, kwargs in (("deadband", {"deadband": 0.1}),
+                              ("no_deadband", {"deadband": 0.0})):
+            resizes, noisy_violations[label], platform = run_noisy_throughput(
+                seed, kwargs)
+            metrics[f"resizes/{label}"] = resizes
+            events += platform.engine.events_executed
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "noisy_violations": noisy_violations,
+    }
 
 
-@pytest.mark.benchmark(group="t3-ablation", min_rounds=1, max_time=1)
-def test_t3_ablation(benchmark, report):
-    out = {}
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    # Shape assertions: each mechanism pulls its weight.
+    assert m["violations/adaptive_weak"] < m["violations/fixed_weak"]
+    if "violations/multi" in m:
+        assert m["violations/multi"] < m["violations/cpu_only"] / 2
+    if "resizes/deadband" in m:
+        assert m["resizes/deadband"] < m["resizes/no_deadband"]
+        # The deadband does not trade violations for quiet.
+        noisy = case["noisy_violations"]
+        assert noisy["deadband"] <= noisy["no_deadband"] + 0.05
 
-    def experiment():
-        if not out:
-            out["multi"] = run_shift({})
-            out["cpu_only"] = run_shift({"dimensions": ("cpu",)})
-            out["adaptive_weak"] = run_step({"gains": WEAK})
-            out["fixed_weak"] = run_step({"gains": WEAK, "adaptive": False})
-            out["deadband"] = run_noisy_throughput({"deadband": 0.1})
-            out["no_deadband"] = run_noisy_throughput({"deadband": 0.0})
-        return out
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
     rows = [
-        ["multi-resource (full)", f"{out['multi'].violation_fraction:.1%}",
-         "moving bottleneck, 3 h"],
-        ["  ablate: cpu-only", f"{out['cpu_only'].violation_fraction:.1%}",
-         "moving bottleneck, 3 h"],
-        ["adaptive gains (weak base)", f"{out['adaptive_weak'].violation_fraction:.1%}",
+        ["adaptive gains (weak base)", f"{m['violations/adaptive_weak']:.1%}",
          "6x load step, 1.5 h"],
-        ["  ablate: fixed gains", f"{out['fixed_weak'].violation_fraction:.1%}",
+        ["  ablate: fixed gains", f"{m['violations/fixed_weak']:.1%}",
          "6x load step, 1.5 h"],
-        ["deadband 0.1", f"{out['deadband'][1]} resizes",
-         "noisy throughput PLO, 2 h"],
-        ["  ablate: deadband 0", f"{out['no_deadband'][1]} resizes",
-         "noisy throughput PLO, 2 h"],
     ]
-    report(
-        "",
+    if "violations/multi" in m:
+        rows += [
+            ["multi-resource (full)", f"{m['violations/multi']:.1%}",
+             "moving bottleneck, 3 h"],
+            ["  ablate: cpu-only", f"{m['violations/cpu_only']:.1%}",
+             "moving bottleneck, 3 h"],
+            ["deadband 0.1", f"{m['resizes/deadband']} resizes",
+             "noisy throughput PLO, 2 h"],
+            ["  ablate: deadband 0", f"{m['resizes/no_deadband']} resizes",
+             "noisy throughput PLO, 2 h"],
+        ]
+    return [
         "R-T3: controller ablations",
         format_table(["variant", "result", "scenario"], rows),
-    )
-
-    benchmark.extra_info["cpu_only_violations"] = out["cpu_only"].violation_fraction
-    benchmark.extra_info["fixed_weak_violations"] = out["fixed_weak"].violation_fraction
-
-    # Shape assertions: each mechanism pulls its weight.
-    assert out["multi"].violation_fraction < out["cpu_only"].violation_fraction / 2
-    assert (out["adaptive_weak"].violation_fraction
-            < out["fixed_weak"].violation_fraction)
-    assert out["deadband"][1] < out["no_deadband"][1]
-    # The deadband does not trade violations for quiet.
-    assert out["deadband"][0].violation_fraction <= \
-        out["no_deadband"][0].violation_fraction + 0.05
+    ]

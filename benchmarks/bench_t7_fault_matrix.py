@@ -14,12 +14,10 @@ against one workload world and asserts:
   (safe mode for scrape loss, retries for actuation faults).
 
 Printed per cell: episodes, MTTR, worst re-convergence time, and the
-resilience counters.
+resilience counters. Smoke runs the micro × crash cell; full runs all ten.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis.recovery import fault_recovery_report, summarize
 from repro.cluster.resources import ResourceVector
@@ -86,24 +84,28 @@ def _arm_fault(platform, fault: str, apps: list[str]) -> None:
                 platform.metrics_faults.freeze(f"app/{app}", now, PIPELINE_WINDOW)
         elif fault == "actuation":
             platform.actuation_faults.outage(now, PIPELINE_WINDOW)
-        else:  # pragma: no cover - parametrize guards this
+        else:  # pragma: no cover - GRIDS guards this
             raise ValueError(f"unknown fault class {fault!r}")
 
     engine.schedule(FAULT_AT, strike)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("fault", FAULT_CLASSES)
-def test_fault_matrix(fault: str, workload: str, report) -> None:
-    platform = build_platform("adaptive", nodes=6, seed=11)
+SEED = 11
+#: mode -> (workload, fault class) cells
+GRIDS = {
+    "smoke": (("micro", "crash"),),
+    "full": tuple((w, f) for w in WORKLOADS for f in FAULT_CLASSES),
+}
+
+
+def _run_cell(workload: str, fault: str, seed: int) -> dict:
+    platform = build_platform("adaptive", nodes=6, seed=seed)
     apps = _deploy(platform, workload)
     _arm_fault(platform, fault, apps)
 
     # Zero-unhandled-exceptions criterion: any escape fails the cell.
     platform.run(DURATION)
 
-    manager = platform.policy.manager
-    stats = manager.resilience_stats()
     # Deadline errors drift in a wider band than latency errors while the
     # controller paces the job, so the settle threshold is looser there.
     threshold = 0.5 if workload == "bigdata" else 0.35
@@ -111,19 +113,43 @@ def test_fault_matrix(fault: str, workload: str, report) -> None:
         platform.fault_log, platform.collector, apps,
         threshold=threshold, settle=3,
     )
-    agg = summarize(episodes)
+    manager = platform.policy.manager
+    return {
+        "workload": workload,
+        "fault": fault,
+        "apps": apps,
+        "episodes": episodes,
+        "agg": summarize(episodes),
+        "stats": manager.resilience_stats(),
+        "resilience": {app: manager.entry_resilience(app) for app in apps},
+        "events": platform.engine.events_executed,
+    }
 
-    report(
-        f"T7 {workload:>7s} × {fault:<13s} "
-        f"episodes={agg.episodes} healed={agg.healed} "
-        f"mttr={agg.max_mttr:.0f}s "
-        f"reconverge={agg.max_reconvergence:.0f}s "
-        f"safe_mode={stats['safe_mode_entries']} "
-        f"retries={stats['retries']} "
-        f"act_fail={stats['actuation_failures']} "
-        f"breaker={stats['breaker_trips']}"
-    )
 
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    cells = [_run_cell(w, f, seed) for w, f in GRIDS[mode]]
+    metrics: dict = {"cells": len(cells)}
+    for cell in cells:
+        agg = cell["agg"]
+        key = f"{cell['workload']}/{cell['fault']}"
+        metrics[f"healed/{key}"] = (
+            agg.episodes >= 1 and agg.healed == agg.episodes
+            and agg.unconverged == 0)
+        metrics[f"mttr/{key}"] = agg.max_mttr
+    metrics["cells_healed"] = sum(
+        1 for key, ok in metrics.items() if key.startswith("healed/") and ok)
+    return {
+        "seed": seed,
+        "events_executed": sum(cell["events"] for cell in cells),
+        "metrics": metrics,
+        "cells": cells,
+    }
+
+
+def _check_cell(cell: dict) -> None:
+    fault, workload, apps = cell["fault"], cell["workload"], cell["apps"]
+    agg, episodes, stats = cell["agg"], cell["episodes"], cell["stats"]
     assert agg.episodes >= 1, "fault was never injected"
     assert agg.healed == agg.episodes, "an episode never healed"
     assert agg.unconverged == 0 and agg.max_reconvergence is not None, (
@@ -134,7 +160,7 @@ def test_fault_matrix(fault: str, workload: str, report) -> None:
         # Signal loss must drive every managed app through safe mode and
         # back out once scrapes resume.
         for app in apps:
-            res = manager.entry_resilience(app)
+            res = cell["resilience"][app]
             assert res["safe_mode_entries"] >= 1, f"{app} never entered safe mode"
             assert res["safe_mode_exits"] >= 1, f"{app} never exited safe mode"
             assert not res["safe_mode"], f"{app} stuck in safe mode"
@@ -143,3 +169,33 @@ def test_fault_matrix(fault: str, workload: str, report) -> None:
         # surface as absorbed failures and backoff retries.
         assert stats["actuation_failures"] > 0, "outage never hit an actuation"
         assert stats["retries"] > 0, "failed actuations were never retried"
+
+
+def check_case(case: dict) -> None:
+    for cell in case["cells"]:
+        try:
+            _check_cell(cell)
+        except AssertionError as err:
+            raise AssertionError(
+                f"T7 {cell['workload']} x {cell['fault']}: {err}") from None
+
+
+def _secs(value: float | None) -> str:
+    return "never" if value is None else f"{value:.0f}s"
+
+
+def format_case(case: dict) -> list[str]:
+    lines = []
+    for cell in case["cells"]:
+        agg, stats = cell["agg"], cell["stats"]
+        lines.append(
+            f"T7 {cell['workload']:>7s} × {cell['fault']:<13s} "
+            f"episodes={agg.episodes} healed={agg.healed} "
+            f"mttr={_secs(agg.max_mttr)} "
+            f"reconverge={_secs(agg.max_reconvergence)} "
+            f"safe_mode={stats['safe_mode_entries']} "
+            f"retries={stats['retries']} "
+            f"act_fail={stats['actuation_failures']} "
+            f"breaker={stats['breaker_trips']}"
+        )
+    return lines

@@ -15,14 +15,9 @@ leader mid-run while load is climbing toward the diurnal peak:
   seed (the successor resumes the transient instead of restarting it),
 * a 1-replica plane with no snapshots (the same crash without a standby)
   must be measurably worse on PLO violations.
-
-Run standalone with ``python -m benchmarks.bench_t8_control_plane_outage``
-(``--smoke`` for the CI-sized variant).
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.analysis.recovery import failover_stats, series_divergence
 from repro.cluster.events import PodResized
@@ -39,13 +34,18 @@ REPAIR = 300.0
 DURATION = 3000.0
 NODES = 6
 SEED = 42
+#: mode -> (crash_at, repair, duration)
+GRIDS = {
+    "smoke": (600.0, 200.0, 1500.0),
+    "full": (CRASH_AT, REPAIR, DURATION),
+}
 
 
 def _build(
     replicas: int,
     *,
     snapshot_interval: float | None = 60.0,
-    seed: int = SEED,
+    seed: int,
     step_at: float = CRASH_AT + 60.0,
 ) -> tuple[EvolvePlatform, list[str]]:
     platform = EvolvePlatform(
@@ -105,24 +105,21 @@ def _run_outage(
     return duplicates
 
 
-def run_outage_case(
-    *,
-    crash_at: float = CRASH_AT,
-    repair: float = REPAIR,
-    duration: float = DURATION,
-) -> dict:
-    """The full T8 comparison; returns everything the asserts consume."""
+def run_case(mode: str, seed: int | None = None) -> dict:
+    """The T8 comparison; returns everything the asserts consume."""
+    seed = SEED if seed is None else seed
+    crash_at, repair, duration = GRIDS[mode]
     step_at = crash_at + 60.0
-    ha, apps = _build(3, step_at=step_at)
+    ha, apps = _build(3, seed=seed, step_at=step_at)
     duplicates = _run_outage(
         ha, crash_at=crash_at, repair=repair, duration=duration
     )
     stats = failover_stats(ha.control_plane.failovers)
 
-    clean, _ = _build(3, step_at=step_at)
+    clean, _ = _build(3, seed=seed, step_at=step_at)
     clean.run(duration)
 
-    single, _ = _build(1, snapshot_interval=None, step_at=step_at)
+    single, _ = _build(1, snapshot_interval=None, seed=seed, step_at=step_at)
     _run_outage(single, crash_at=crash_at, repair=repair, duration=duration)
 
     # Compare the settled tail, not the step transient: the two runs pass
@@ -137,23 +134,34 @@ def run_outage_case(
         )
         for app in apps
     }
+    violations = {
+        "ha": ha.result().total_violation_fraction(),
+        "clean": clean.result().total_violation_fraction(),
+        "single": single.result().total_violation_fraction(),
+    }
     return {
+        "seed": seed,
+        "events_executed": sum(
+            p.engine.events_executed for p in (ha, clean, single)
+        ),
+        "metrics": {
+            "failovers": stats.failovers,
+            "max_gap_s": stats.max_gap,
+            "snapshot_restores": stats.snapshot_restores,
+            "duplicate_actuations": len(duplicates),
+            "max_cpu_divergence": max(divergence.values()),
+            **{f"violations/{k}": v for k, v in violations.items()},
+        },
         "crash_at": crash_at,
         "repair": repair,
         "apps": apps,
-        "ha": ha,
-        "clean": clean,
-        "single": single,
         "stats": stats,
         "duplicates": duplicates,
         "divergence": divergence,
-        "ha_violations": ha.result().total_violation_fraction(),
-        "clean_violations": clean.result().total_violation_fraction(),
-        "single_violations": single.result().total_violation_fraction(),
     }
 
 
-def check_outage_case(case: dict, *, control_interval: float = 10.0) -> None:
+def check_case(case: dict, *, control_interval: float = 10.0) -> None:
     stats = case["stats"]
     assert stats.failovers >= 1, "the crash never triggered a failover"
     assert stats.max_gap is not None and stats.max_gap < 3 * control_interval, (
@@ -168,10 +176,10 @@ def check_outage_case(case: dict, *, control_interval: float = 10.0) -> None:
     for app, drift in case["divergence"].items():
         assert drift is not None, f"{app}: no allocation series to compare"
         assert drift < 1.0, f"{app}: post-failover CPU drifted {drift:.2f} cores"
-    assert case["single_violations"] > case["ha_violations"], (
+    single, ha = case["metrics"]["violations/single"], case["metrics"]["violations/ha"]
+    assert single > ha, (
         "a 300 s controller outage should cost more PLO time than a "
-        f"sub-30 s failover ({case['single_violations']:.4f} vs "
-        f"{case['ha_violations']:.4f})"
+        f"sub-30 s failover ({single:.4f} vs {ha:.4f})"
     )
 
 
@@ -190,37 +198,8 @@ def format_case(case: dict) -> list[str]:
         + " ".join(
             f"{app}={case['divergence'][app]:.3f}" for app in case["apps"]
         ),
-        f"  violations: ha-3rep={case['ha_violations']:.4f} "
-        f"crash-free={case['clean_violations']:.4f} "
-        f"single-no-snapshot={case['single_violations']:.4f}",
+        f"  violations: ha-3rep={case['metrics']['violations/ha']:.4f} "
+        f"crash-free={case['metrics']['violations/clean']:.4f} "
+        f"single-no-snapshot={case['metrics']['violations/single']:.4f}",
     ]
     return lines
-
-
-def test_control_plane_outage(report) -> None:
-    case = run_outage_case()
-    report(*format_case(case))
-    check_outage_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter run, same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_outage_case(crash_at=600.0, repair=200.0, duration=1500.0)
-    else:
-        case = run_outage_case()
-    for line in format_case(case):
-        print(line)
-    check_outage_case(case)
-    print("T8 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -22,14 +22,10 @@ Three claims keep ``PlatformConfig(telemetry=True)`` honest:
 3. **Bit-identity** — a seeded run produces *identical* sample streams
    and event counts with telemetry on or off. Tracing must observe the
    simulation, never perturb it: no extra RNG draws, no extra events.
-
-``python -m benchmarks.bench_telemetry_overhead`` runs it standalone
-(``--smoke`` for the CI-sized variant).
 """
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import time
 
@@ -40,14 +36,15 @@ from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import DiurnalTrace
 from benchmarks.scenarios import HOUR, build_platform
 
-APPS = 8
-DURATION = HOUR
+SEED = 3
+#: mode -> (services, simulated seconds)
+GRIDS = {"smoke": (4, HOUR / 2), "full": (8, HOUR)}
 
 ENABLED_BUDGET = 0.05
 DISABLED_BUDGET = 0.02
 
 
-def _build(*, telemetry: bool, apps: int, seed: int = 3):
+def _build(*, telemetry: bool, apps: int, seed: int):
     platform = build_platform(
         "adaptive", nodes=max(4, apps // 2), seed=seed, telemetry=telemetry
     )
@@ -65,9 +62,9 @@ def _build(*, telemetry: bool, apps: int, seed: int = 3):
     return platform
 
 
-def _profiled_run(*, telemetry: bool, apps: int, duration: float):
+def _profiled_run(*, telemetry: bool, apps: int, duration: float, seed: int):
     """(total function calls, platform) for one seeded run."""
-    platform = _build(telemetry=telemetry, apps=apps)
+    platform = _build(telemetry=telemetry, apps=apps, seed=seed)
     profiler = cProfile.Profile()
     profiler.enable()
     platform.run(duration)
@@ -80,8 +77,8 @@ def _profiled_run(*, telemetry: bool, apps: int, duration: float):
     return calls, platform
 
 
-def _timed_run(*, telemetry: bool, apps: int, duration: float) -> float:
-    platform = _build(telemetry=telemetry, apps=apps)
+def _timed_run(*, telemetry: bool, apps: int, duration: float, seed: int) -> float:
+    platform = _build(telemetry=telemetry, apps=apps, seed=seed)
     t0 = time.perf_counter()
     platform.run(duration)
     return time.perf_counter() - t0
@@ -120,13 +117,14 @@ def _series_fingerprint(platform, apps: int):
     return out
 
 
-def run_case(*, apps: int = APPS, duration: float = DURATION) -> dict:
-    calls_off, off_platform = _profiled_run(
-        telemetry=False, apps=apps, duration=duration)
-    calls_on, on_platform = _profiled_run(
-        telemetry=True, apps=apps, duration=duration)
-    wall_off = _timed_run(telemetry=False, apps=apps, duration=duration)
-    wall_on = _timed_run(telemetry=True, apps=apps, duration=duration)
+def run_case(mode: str, seed: int | None = None) -> dict:
+    seed = SEED if seed is None else seed
+    apps, duration = GRIDS[mode]
+    run = {"apps": apps, "duration": duration, "seed": seed}
+    calls_off, off_platform = _profiled_run(telemetry=False, **run)
+    calls_on, on_platform = _profiled_run(telemetry=True, **run)
+    wall_off = _timed_run(telemetry=False, **run)
+    wall_on = _timed_run(telemetry=True, **run)
 
     identical = (
         _series_fingerprint(off_platform, apps)
@@ -143,82 +141,60 @@ def run_case(*, apps: int = APPS, duration: float = DURATION) -> dict:
         / wall_off
     )
     return {
+        "seed": seed,
+        "events_executed": off_platform.engine.events_executed,
+        "metrics": {
+            "calls_off": calls_off,
+            "calls_on": calls_on,
+            "enabled_call_overhead": calls_on / calls_off - 1.0,
+            "identical": identical,
+            "spans": len(on_platform.telemetry.trace),
+            "provenance": len(on_platform.telemetry.trace.provenance),
+        },
+        "timing": {
+            "wall_off_s": wall_off,
+            "wall_on_s": wall_on,
+            "disabled_overhead": disabled_overhead,
+        },
         "apps": apps,
-        "calls_off": calls_off,
-        "calls_on": calls_on,
-        "enabled_overhead": calls_on / calls_off - 1.0,
-        "wall_off": wall_off,
-        "wall_on": wall_on,
-        "disabled_overhead": disabled_overhead,
-        "identical": identical,
-        "events": off_platform.engine.events_executed,
-        "spans": len(on_platform.telemetry.trace),
-        "provenance": len(on_platform.telemetry.trace.provenance),
     }
 
 
 def check_case(case: dict) -> None:
-    assert case["identical"], (
+    m, timing = case["metrics"], case["timing"]
+    assert m["identical"], (
         "telemetry perturbed the seeded run: sample streams or event "
         "counts differ with tracing on"
     )
-    assert case["enabled_overhead"] <= ENABLED_BUDGET, (
-        f"telemetry-enabled run costs {case['enabled_overhead']:+.2%} "
+    assert m["enabled_call_overhead"] <= ENABLED_BUDGET, (
+        f"telemetry-enabled run costs {m['enabled_call_overhead']:+.2%} "
         f"function calls vs disabled (budget {ENABLED_BUDGET:.0%})"
     )
-    assert case["disabled_overhead"] <= DISABLED_BUDGET, (
-        f"disabled guard residual {case['disabled_overhead']:.3%} "
+    assert timing["disabled_overhead"] <= DISABLED_BUDGET, (
+        f"disabled guard residual {timing['disabled_overhead']:.3%} "
         f"(budget {DISABLED_BUDGET:.0%})"
     )
-    assert case["spans"] >= 1 and case["provenance"] >= 1
+    assert m["spans"] >= 1 and m["provenance"] >= 1
 
 
 def format_case(case: dict) -> list[str]:
+    m, timing = case["metrics"], case["timing"]
     rows = [
-        ["telemetry off", f"{case['calls_off']:,}", f"{case['wall_off']:.3f}",
+        ["telemetry off", f"{m['calls_off']:,}", f"{timing['wall_off_s']:.3f}",
          "—"],
-        ["telemetry on", f"{case['calls_on']:,}", f"{case['wall_on']:.3f}",
-         f"{case['enabled_overhead']:+.2%}"],
+        ["telemetry on", f"{m['calls_on']:,}", f"{timing['wall_on_s']:.3f}",
+         f"{m['enabled_call_overhead']:+.2%}"],
     ]
     return [
         f"Telemetry overhead ({case['apps']} services, "
-        f"{case['events']:,} engine events)",
+        f"{case['events_executed']:,} engine events)",
         format_table(
             ["configuration", "function calls", "wall s",
              "call overhead"], rows
         ),
-        f"  disabled guard residual: {case['disabled_overhead']:.4%} "
+        f"  disabled guard residual: {timing['disabled_overhead']:.4%} "
         "of runtime",
-        f"  seeded streams bit-identical on/off: {case['identical']}",
-        f"  enabled run recorded {case['spans']:,} spans, "
-        f"{case['provenance']:,} provenance records",
+        f"  seeded streams bit-identical on/off: {m['identical']}",
+        f"  enabled run recorded {m['spans']:,} spans, "
+        f"{m['provenance']:,} provenance records",
     ]
-
-
-def test_telemetry_overhead(report) -> None:
-    case = run_case()
-    report("", *format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: fewer services, shorter run, same gates",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(apps=4, duration=HOUR / 2)
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("OVERHEAD OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
