@@ -108,11 +108,11 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "t1", bench_t1_plo_violations,
         "R-T1: PLO violations per policy",
-        budgets={"events_executed": 42_000}),
+        budgets={"events_executed": 23_800}),
     Experiment(
         "t2", bench_t2_utilization,
         "R-T2: cluster utilization per policy",
-        budgets={"events_executed": 70_000}),
+        budgets={"events_executed": 24_300}),
     Experiment(
         "t3", bench_t3_ablation,
         "R-T3: controller ablations",
@@ -120,23 +120,23 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "t4", bench_t4_converged_sched,
         "R-T4: converged vs siloed vs kube scheduling",
-        budgets={"events_executed": 40_000}),
+        budgets={"events_executed": 18_700}),
     Experiment(
         "t5", bench_t5_cost,
         "R-T5: allocation cost per policy",
-        budgets={"events_executed": 70_000}),
+        budgets={"events_executed": 24_500}),
     Experiment(
         "t6", bench_t6_seed_robustness,
         "R-T6: seed robustness of the headline",
-        budgets={"events_executed": 83_000}),
+        budgets={"events_executed": 46_900}),
     Experiment(
         "t7", bench_t7_fault_matrix,
         "R-T7: fault matrix (fault class x workload world)",
-        budgets={"events_executed": 15_000}),
+        budgets={"events_executed": 8_800}),
     Experiment(
         "t8", bench_t8_control_plane_outage,
         "R-T8: control-plane outage and failover",
-        budgets={"events_executed": 36_000}),
+        budgets={"events_executed": 18_900}),
     Experiment(
         "t9", bench_t9_reaction_latency,
         "R-T9: scrape-to-actuation reaction latency",
@@ -144,21 +144,21 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "t10", bench_t10_overload,
         "R-T10: overload resilience and graceful degradation",
-        budgets={"events_executed": 55_000}),
+        budgets={"events_executed": 15_900}),
     Experiment(
         "t11", bench_t11_dataplane,
         "R-T11: data-plane fault tolerance under injected faults",
-        budgets={"events_executed": 13_000}),
+        budgets={"events_executed": 12_500}),
     Experiment(
         "t12", bench_t12_slo,
         "R-T12: SLO attainment and burn-rate alerting",
-        budgets={"events_executed": 21_000}),
+        budgets={"events_executed": 9_700}),
     Experiment(
         # Named "arena" (not "t13") so the artifact lands as
         # BENCH_arena.json — the leaderboard file CI renders and uploads.
         "arena", bench_t13_arena,
         "R-T13: autoscaler arena (policy x scenario scorecards)",
-        budgets={"events_executed": 110_000}),
+        budgets={"events_executed": 71_900}),
     Experiment(
         "trace_realism", bench_t14_trace_realism,
         "R-T14: trace realism of the open-loop arrival library",
@@ -166,7 +166,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "f1", bench_f1_latency_timeline,
         "R-F1: latency timeline per policy",
-        budgets={"events_executed": 22_000}),
+        budgets={"events_executed": 12_800}),
     Experiment(
         "f2", bench_f2_convergence,
         "R-F2: convergence after a load step",
@@ -178,11 +178,11 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "f4", bench_f4_colocation,
         "R-F4: converged co-location utilization",
-        budgets={"events_executed": 48_000}),
+        budgets={"events_executed": 25_500}),
     Experiment(
         "f5", bench_f5_scalability,
         "R-F5: control-plane scalability",
-        budgets={"events_executed": 46_000}),
+        budgets={"events_executed": 14_000}),
     Experiment(
         "f6", bench_f6_locality,
         "R-F6: data-locality placement benefit",
@@ -190,15 +190,15 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "f7", bench_f7_control_period,
         "R-F7: control-period sensitivity",
-        budgets={"events_executed": 42_000}),
+        budgets={"events_executed": 23_800}),
     Experiment(
         "f8", bench_f8_acceleration,
         "R-F8: FPGA acceleration affinity",
-        budgets={"events_executed": 69_000}),
+        budgets={"events_executed": 68_100}),
     Experiment(
         "f9", bench_f9_energy,
         "R-F9: consolidation energy savings",
-        budgets={"events_executed": 65_000}),
+        budgets={"events_executed": 37_900}),
     Experiment(
         "f10", bench_f10_feedforward,
         "R-F10: feedforward load anticipation",
@@ -217,9 +217,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "telemetry_overhead", bench_telemetry_overhead,
         "Telemetry overhead gate",
-        budgets={"events_executed": 13_000,
-                 "metrics.calls_off": 1_300_000,
-                 "metrics.calls_on": 1_360_000}),
+        budgets={"events_executed": 6_200,
+                 "metrics.calls_off": 971_000,
+                 "metrics.calls_on": 1_018_000}),
 )
 
 REGISTRY: dict[str, Experiment] = {e.name: e for e in EXPERIMENTS}

@@ -121,6 +121,11 @@ class ClusterAPI:
     def get_pod(self, name: str) -> Pod:
         return self._cluster.get_pod(name)
 
+    @property
+    def pod_transitions(self) -> int:
+        """Count of pod lifecycle transitions so far (a cache stamp)."""
+        return self._cluster.pod_transitions
+
     def list_pods(
         self,
         *,

@@ -86,6 +86,9 @@ class Cluster:
         self.events = EventBus()
         self.quotas = None  # optional QuotaManager, set by the operator
         self._pending: dict[str, Pod] = {}  # insertion-ordered queue
+        #: Bumped by every pod lifecycle transition (submit, bind, start,
+        #: finish, evict); a cache over pod phases is valid while it holds.
+        self.pod_transitions = 0
 
     # -- queries ----------------------------------------------------------------
 
@@ -146,6 +149,7 @@ class Cluster:
         pod = Pod(spec, created_at=self.now)
         self.pods[spec.name] = pod
         self._pending[spec.name] = pod
+        self.pod_transitions += 1
         self.events.publish(PodSubmitted(self.now, spec.name, spec.app))
         return pod
 
@@ -198,6 +202,7 @@ class Cluster:
         node.bind(pod)  # raises NodeError if it does not fit
         del self._pending[pod_name]
         pod.phase = PodPhase.SCHEDULED
+        self.pod_transitions += 1
         pod.node_name = node_name
         pod.scheduled_at = self.now
         self.events.publish(PodScheduled(self.now, pod_name, node_name))
@@ -210,6 +215,7 @@ class Cluster:
         if pod is None or pod.phase != PodPhase.SCHEDULED:
             return  # evicted or finished while starting
         pod.phase = PodPhase.RUNNING
+        self.pod_transitions += 1
         pod.started_at = self.now
         assert pod.node_name is not None
         self.events.publish(PodStarted(self.now, pod_name, pod.node_name))
@@ -224,6 +230,7 @@ class Cluster:
         self._release_if_bound(pod)
         self._pending.pop(pod_name, None)
         pod.phase = PodPhase.SUCCEEDED if succeeded else PodPhase.FAILED
+        self.pod_transitions += 1
         pod.finished_at = self.now
         pod.usage = ResourceVector.zero()
         self.events.publish(PodFinished(self.now, pod_name, succeeded))
@@ -236,6 +243,7 @@ class Cluster:
         self._release_if_bound(pod)
         self._pending.pop(pod_name, None)
         pod.phase = PodPhase.EVICTED
+        self.pod_transitions += 1
         pod.finished_at = self.now
         pod.usage = ResourceVector.zero()
         self.events.publish(PodEvicted(self.now, pod_name, reason))

@@ -836,16 +836,22 @@ class ControlLoopManager:
         )
         if sp is not None and scrape_span is not None:
             sp.parent_id = scrape_span
+        # Plain attribute reads and inline tests below, not getattr or
+        # properties: this runs once per decision and the overhead gate
+        # counts every function call the enabled path makes.
         controller = entry.controller
-        pid = getattr(controller, "pid", None)
-        tuner = getattr(controller, "tuner", None)
         if action is None:
             action = decision.action if decision is not None else "none"
-        if target is None and decision is not None and decision.changed:
+        if (
+            target is None
+            and decision is not None
+            and decision.action != "hold"
+        ):
             target = decision.new_allocation
         active: tuple[int, ...] = ()
-        if self.fault_log is not None:
-            active = tuple(ep.eid for ep in self.fault_log.active_at(now))
+        log = self.fault_log
+        if log is not None and log.episodes:
+            active = tuple(ep.eid for ep in log.active_at(now))
         tel.tracer.trace.provenance.append(DecisionProvenance(
             app=app.name,
             time=now,
@@ -854,16 +860,12 @@ class ControlLoopManager:
             error=decision.error if decision is not None else None,
             output=decision.output if decision is not None else None,
             gain_scale=decision.gain_scale if decision is not None else None,
-            terms=(
-                getattr(pid, "last_terms", None)
-                if decision is not None
-                else None
-            ),
+            terms=controller.pid.last_terms if decision is not None else None,
             inputs={metric: self.collector.latest(metric)},
             signal_age=signal_age,
             stale_periods=entry.stale_periods,
             safe_mode=entry.safe_mode,
-            deadband=getattr(controller, "deadband", 0.0),
+            deadband=controller.deadband,
             clamped=decision.clamped if decision is not None else False,
             weights=dict(decision.weights) if decision is not None else {},
             target=target.as_dict() if target is not None else None,
@@ -873,9 +875,7 @@ class ControlLoopManager:
             span_id=sp.id if sp is not None else None,
             active_faults=active,
             tuner_event=(
-                getattr(tuner, "last_event", None)
-                if decision is not None
-                else None
+                controller.tuner.last_event if decision is not None else None
             ),
         ))
         if sp is not None:
@@ -1025,7 +1025,7 @@ class ControlLoopManager:
         self.collector.record(f"{prefix}/replicas", float(app.replica_count))
 
         if self.telemetry is not None:
-            if decision.changed:
+            if decision.action != "hold":
                 verdict = "actuated"
             elif suppressed:
                 verdict = "reclaim-suppressed"

@@ -177,6 +177,10 @@ class Engine:
         # add_cycle_hook). Empty-list truthiness is the only cost on the
         # hot path when nobody is watching.
         self._cycle_hooks: list[Callable[[], None]] = []
+        #: Tick interval -> the application tick group that most recently
+        #: pushed its next firing (owned by :mod:`repro.workloads.base`;
+        #: kept here so it lives and dies with the run).
+        self.tick_groups: dict[float, object] = {}
 
     def _note_cancellation(self) -> None:
         """Bookkeeping hook called by :meth:`EventHandle.cancel`."""

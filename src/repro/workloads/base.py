@@ -6,6 +6,10 @@ and exposes metrics to the collector. Autoscalers actuate applications
 through two verbs only — :meth:`Application.scale_to` (horizontal) and
 :meth:`Application.set_target_allocation` (vertical) — mirroring the
 Deployment-replicas / pod-resize surface of the real system.
+
+Applications tick through shared *tick groups* (:class:`_TickGroup`):
+one periodic engine event per group steps every member in join order,
+instead of one event per application.
 """
 
 from __future__ import annotations
@@ -16,7 +20,64 @@ from typing import Mapping
 from repro.cluster.api import ActuationError, ClusterAPI
 from repro.cluster.pod import Pod, PodPhase, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
-from repro.sim.engine import Engine, PeriodicHandle
+from repro.sim.engine import Engine
+
+_RUNNING = PodPhase.RUNNING
+
+
+class _TickGroup:
+    """Applications whose ticks fall at the same interval and times.
+
+    The group owns one periodic engine event (priority −5, the priority
+    every application tick has always used) and calls each live member's
+    ``_on_tick`` in join order. An application joins the group that most
+    recently pushed its next firing, and only if that firing is exactly
+    ``now + interval`` — the time and heap position its own periodic
+    event would have had. Otherwise it opens a new group, whose event is
+    pushed now, i.e. exactly where its own event would have gone. So an
+    application started before the run, by a priority-0 event, or by an
+    event at a priority below −5 ticks in the order per-application
+    events produced.
+    """
+
+    __slots__ = ("interval", "members", "next_fire", "_handle", "_latest")
+
+    def __init__(self, engine: Engine, interval: float):
+        self.interval = interval
+        self.members: list[Application] = []
+        # Mirrors the engine's reschedule arithmetic: each firing pushes
+        # the next one at (its own time) + interval.
+        self.next_fire = engine.now + interval
+        self._latest = engine.tick_groups
+        self._handle = engine.every(interval, self._fire, priority=-5)
+        self._latest[interval] = self
+
+    @classmethod
+    def join(cls, app: "Application") -> "_TickGroup":
+        engine, interval = app.engine, app.tick_interval
+        group = engine.tick_groups.get(interval)
+        if (
+            group is None
+            or not group.members
+            or group.next_fire != engine.now + interval
+        ):
+            group = cls(engine, interval)
+        group.members.append(app)
+        return group
+
+    def leave(self, app: "Application") -> None:
+        self.members.remove(app)
+        if not self.members:
+            self._handle.cancel()
+
+    def _fire(self) -> None:
+        for app in tuple(self.members):
+            # A member stopped by an earlier member's tick is skipped.
+            if app._tick_group is self:
+                app._on_tick()
+        self.next_fire += self.interval
+        if self.members:
+            self._latest[self.interval] = self
 
 
 class Application:
@@ -93,7 +154,14 @@ class Application:
         self._resubmit_backoff_until = 0.0
         self._next_index = 0
         self._pod_names: list[str] = []
-        self._tick_handle: PeriodicHandle | None = None
+        # Running-pod and prune caches, valid while both the cluster's
+        # pod-transition counter and this version of _pod_names (bumped
+        # on every mutation of the list) are unchanged.
+        self._names_version = 0
+        self._pruned_key: tuple[int, int] | None = None
+        self._running_key: tuple[int, int] | None = None
+        self._running: tuple[Pod, ...] = ()
+        self._tick_group: _TickGroup | None = None
         self._last_tick: float | None = None
         self.started = False
         self.finished = False
@@ -110,7 +178,7 @@ class Application:
         left-to-right order the vector sum used, so seeded metric streams
         are unchanged while skipping per-pod vector allocations.
         """
-        running = self.running_pods()
+        running = self._running_pods()
         a_cpu = a_mem = a_disk = a_net = 0.0
         u_cpu = u_mem = u_disk = u_net = 0.0
         for pod in running:
@@ -147,21 +215,36 @@ class Application:
         self._last_tick = self.engine.now
         for _ in range(self.initial_replicas):
             self._submit_replica()
-        self._tick_handle = self.engine.every(
-            self.tick_interval, self._on_tick, priority=-5
-        )
+        self._tick_group = _TickGroup.join(self)
 
     def stop(self) -> None:
         """Stop ticking and delete all non-terminal pods."""
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
+        self._stop_ticking()
         for name in list(self._pod_names):
             pod = self.api.get_pod(name)
             if not pod.terminal:
                 self.api.delete_pod(name, reason="app-stopped")
-        self._pod_names.clear()
+        self._clear_pod_names()
         self.finished = True
+
+    def _finish_pods(self, *, succeeded: bool) -> None:
+        """Mark every live pod finished, then stop ticking for good."""
+        for pod in self.pods():
+            if not pod.terminal:
+                self.api.mark_finished(pod.name, succeeded=succeeded)
+        self._clear_pod_names()
+        self._stop_ticking()
+        self.finished = True
+
+    def _stop_ticking(self) -> None:
+        group = self._tick_group
+        if group is not None:
+            self._tick_group = None
+            group.leave(self)
+
+    def _clear_pod_names(self) -> None:
+        self._pod_names.clear()
+        self._names_version += 1
 
     def _on_tick(self) -> None:
         now = self.engine.now
@@ -217,12 +300,15 @@ class Application:
 
     def _prune_terminal_pods(self) -> None:
         """Drop externally-evicted/finished pods from the replica list."""
-        kept = []
-        for name in self._pod_names:
-            pod = self.api.get_pod(name)
-            if not pod.terminal:
-                kept.append(name)
-        self._pod_names = kept
+        key = (self.api.pod_transitions, self._names_version)
+        if key == self._pruned_key:
+            return
+        get_pod = self.api.get_pod
+        kept = [name for name in self._pod_names if not get_pod(name).terminal]
+        if len(kept) != len(self._pod_names):
+            self._pod_names = kept
+            self._names_version += 1
+        self._pruned_key = (key[0], self._names_version)
 
     # -- replica management ----------------------------------------------------------
 
@@ -241,6 +327,7 @@ class Application:
         self._next_index += 1
         pod = self.api.create_pod(spec)
         self._pod_names.append(pod.name)
+        self._names_version += 1
         return pod
 
     def pods(self) -> list[Pod]:
@@ -248,7 +335,22 @@ class Application:
         return [self.api.get_pod(name) for name in self._pod_names]
 
     def running_pods(self) -> list[Pod]:
-        return [p for p in self.pods() if p.phase == PodPhase.RUNNING]
+        """Running pods of this app, oldest first (a fresh list)."""
+        return list(self._running_pods())
+
+    def _running_pods(self) -> tuple[Pod, ...]:
+        """Cached :meth:`running_pods`, recomputed only after a pod of the
+        cluster changed phase or ``_pod_names`` changed."""
+        key = (self.api.pod_transitions, self._names_version)
+        if key != self._running_key:
+            get_pod = self.api.get_pod
+            self._running = tuple(
+                pod
+                for pod in map(get_pod, self._pod_names)
+                if pod.phase is _RUNNING
+            )
+            self._running_key = key
+        return self._running
 
     @property
     def replica_count(self) -> int:
@@ -265,6 +367,7 @@ class Application:
             self._submit_replica()
         while len(self._pod_names) > replicas:
             victim = self._pod_names.pop()
+            self._names_version += 1
             pod = self.api.get_pod(victim)
             if not pod.terminal:
                 self.api.delete_pod(victim, reason="scaled-down")
@@ -289,7 +392,7 @@ class Application:
 
         Falls back to the target when nothing is running yet.
         """
-        running = self.running_pods()
+        running = self._running_pods()
         if not running:
             return self.target_allocation
         return running[0].allocation

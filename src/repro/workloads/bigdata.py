@@ -436,7 +436,7 @@ class BigDataJob(Application):
         if not runnable:
             self._complete(now)
             return
-        executors = self.running_pods()
+        executors = self._running_pods()
         assignment = self._assign_executors(runnable, executors)
         work_retired = 0.0
         for pod in executors:
@@ -456,14 +456,7 @@ class BigDataJob(Application):
             return
         self.completed_at = now
         self.current_throughput = 0.0
-        for pod in self.pods():
-            if not pod.terminal:
-                self.api.mark_finished(pod.name, succeeded=True)
-        self._pod_names.clear()
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-        self.finished = True
+        self._finish_pods(succeeded=True)
 
     # -- fault-tolerant task engine --------------------------------------------
 
@@ -480,7 +473,7 @@ class BigDataJob(Application):
         if not runnable:
             self._complete(now)
             return
-        executors = self.running_pods()
+        executors = self._running_pods()
         assignment = self._assign_executors(runnable, executors)
         self._release_moved_tasks(assignment)
         work_retired = 0.0
@@ -571,14 +564,7 @@ class BigDataJob(Application):
                         stage=stage.name, attempts=rt.attempts,
                     )
                 self.current_throughput = 0.0
-                for pod in self.pods():
-                    if not pod.terminal:
-                        self.api.mark_finished(pod.name, succeeded=False)
-                self._pod_names.clear()
-                if self._tick_handle is not None:
-                    self._tick_handle.cancel()
-                    self._tick_handle = None
-                self.finished = True
+                self._finish_pods(succeeded=False)
                 return True
         return False
 

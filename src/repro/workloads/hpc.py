@@ -223,14 +223,7 @@ class HPCJob(Application):
             return
         self.completed_at = now
         self.current_rate = 0.0
-        for pod in self.pods():
-            if not pod.terminal:
-                self.api.mark_finished(pod.name, succeeded=True)
-        self._pod_names.clear()
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-        self.finished = True
+        self._finish_pods(succeeded=True)
 
     # -- metrics -------------------------------------------------------------------
 
@@ -241,7 +234,7 @@ class HPCJob(Application):
                 "progress": self.progress,
                 "gang_rate": self.current_rate,
                 "gang_complete": float(
-                    len(self.running_pods()) >= self.ranks
+                    len(self._running_pods()) >= self.ranks
                 ),
             }
         )

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.cluster.api import ClusterAPI
-from repro.cluster.pod import Pod, WorkloadClass
+from repro.cluster.pod import WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine
 from repro.workloads.arrivals import ArrivalProcess
@@ -66,8 +66,8 @@ class ServiceDemands:
         resource imposes it (ignoring memory, handled via pressure).
 
         Strict ``<`` comparisons keep first-wins tie-breaking in the
-        cpu → disk_bw → net_bw order without building candidate lists —
-        this runs once per replica per model tick.
+        cpu → disk_bw → net_bw order. :meth:`Microservice.tick` inlines
+        this rule in its per-replica loop; the two must stay in step.
         """
         cap = allocation.cpu / self.cpu_seconds
         which = "cpu"
@@ -301,14 +301,15 @@ class Microservice(Application):
                 demands = self._sized_demands(demands, size_factor)
         else:
             offered = max(0.0, self.trace.rate(now))
-        running = self.running_pods()
+        running = self._running_pods()
         self.current_offered = offered
 
         # Drop state of replicas that went away.
+        states = self._replica_state
         live = {p.name for p in running}
-        for name in list(self._replica_state):
+        for name in list(states):
             if name not in live:
-                del self._replica_state[name]
+                del states[name]
 
         if not running:
             # Nothing serving: queue at the front door, report timeout-level
@@ -327,11 +328,101 @@ class Microservice(Application):
         backlog_total = 0.0
         bottleneck_votes: dict[str, int] = {}
 
+        # One M/M/1-with-backlog step per replica. This loop runs once per
+        # replica per tick, so ServiceDemands.capacity and
+        # Pod.record_usage are inlined, with every float operation in
+        # their order; ``b if b < a else a`` is exactly ``min(a, b)`` and
+        # ``b if b > a else a`` exactly ``max(a, b)``.
+        cpu_seconds = demands.cpu_seconds
+        disk_mb = demands.disk_mb
+        net_mb = demands.net_mb
+        mem_base = demands.mem_base
+        mem_per_inflight = demands.mem_per_inflight
+        base_latency = demands.base_latency
+        max_latency = self.max_latency
+        queue_limit = self.queue_limit_seconds
+        arrivals = per_replica * dt
+        from_fields = ResourceVector._from_fields
         for pod in running:
-            state = self._replica_state.setdefault(pod.name, _ReplicaState())
-            wait, served, dropped, bottleneck = self._step_replica(
-                state, pod, per_replica, demands, dt
-            )
+            state = states.get(pod.name)
+            if state is None:
+                state = states[pod.name] = _ReplicaState()
+            alloc = pod.allocation
+            mu = alloc.cpu / cpu_seconds
+            bottleneck = "cpu"
+            if disk_mb > 0:
+                cap = alloc.disk_bw / disk_mb
+                if cap < mu:
+                    mu, bottleneck = cap, "disk_bw"
+            if net_mb > 0:
+                cap = alloc.net_bw / net_mb
+                if cap < mu:
+                    mu, bottleneck = cap, "net_bw"
+            if mu <= 0:
+                served = 0.0
+                dropped = state.backlog + arrivals
+                state.backlog = 0.0
+                wait = state.last_wait = max_latency
+                pod.usage = ResourceVector.zero()
+            else:
+                # Memory pressure from in-flight requests (Little's law on
+                # the previous tick's wait, bounded to keep the fixed
+                # point stable).
+                last_wait = state.last_wait
+                inflight = per_replica * (5.0 if 5.0 < last_wait else last_wait)
+                required_mem = mem_base + mem_per_inflight * inflight
+                alloc_mem = alloc.memory
+                pressure = required_mem / (
+                    1e-9 if 1e-9 > alloc_mem else alloc_mem
+                )
+                if pressure > 1.0:
+                    bottleneck = "memory"
+                else:
+                    pressure = 1.0
+                mu = mu / pressure
+
+                backlog = state.backlog
+                queued = backlog + arrivals
+                capacity = mu * dt
+                served = capacity if capacity < queued else queued
+                backlog = backlog + arrivals - served
+                if not backlog > 0.0:
+                    backlog = 0.0
+                # Shed whatever exceeds the admission-control window.
+                dropped = backlog - mu * queue_limit
+                if not dropped > 0.0:
+                    dropped = 0.0
+                backlog -= dropped
+                state.backlog = backlog
+
+                rho = per_replica / mu
+                if 0.995 < rho:
+                    rho = 0.995
+                wait = base_latency * pressure / (1.0 - rho) + (
+                    backlog / mu if mu > 0 else 0.0
+                )
+                if max_latency < wait:
+                    wait = max_latency
+                state.last_wait = wait
+
+                # Usage, enforced at the allocation and clamped at zero.
+                served_rate = served / dt
+                cpu = served_rate * cpu_seconds
+                if alloc.cpu < cpu:
+                    cpu = alloc.cpu
+                memory = alloc_mem if alloc_mem < required_mem else required_mem
+                disk = served_rate * disk_mb
+                if alloc.disk_bw < disk:
+                    disk = alloc.disk_bw
+                net = served_rate * net_mb
+                if alloc.net_bw < net:
+                    net = alloc.net_bw
+                pod.usage = from_fields(
+                    cpu if cpu > 0.0 else 0.0,
+                    memory if memory > 0.0 else 0.0,
+                    disk if disk > 0.0 else 0.0,
+                    net if net > 0.0 else 0.0,
+                )
             served_total += served
             dropped_total += dropped
             wait_sum += wait
@@ -351,58 +442,6 @@ class Microservice(Application):
             self.current_latency = min(
                 self.max_latency, self.current_latency + self.brownout_penalty
             )
-
-    def _step_replica(
-        self,
-        state: _ReplicaState,
-        pod: Pod,
-        arrival_rate: float,
-        demands: ServiceDemands,
-        dt: float,
-    ) -> tuple[float, float, float, str]:
-        """Advance one replica; returns (wait, served, dropped, bottleneck)."""
-        mu_raw, bottleneck = demands.capacity(pod.allocation)
-        if mu_raw <= 0:
-            dropped = state.backlog + arrival_rate * dt
-            state.backlog = 0.0
-            state.last_wait = self.max_latency
-            pod.record_usage(ResourceVector.zero())
-            return self.max_latency, 0.0, dropped, bottleneck
-
-        # Memory pressure from in-flight requests (Little's law on the
-        # previous tick's wait, bounded to keep the fixed point stable).
-        inflight = arrival_rate * min(state.last_wait, 5.0)
-        required_mem = demands.mem_base + demands.mem_per_inflight * inflight
-        mem = max(pod.allocation.memory, 1e-9)
-        pressure = max(1.0, required_mem / mem)
-        if pressure > 1.0:
-            bottleneck = "memory"
-        mu = mu_raw / pressure
-
-        arrivals = arrival_rate * dt
-        served = min(state.backlog + arrivals, mu * dt)
-        state.backlog = max(0.0, state.backlog + arrivals - served)
-        # Shed whatever exceeds the admission-control window.
-        backlog_cap = mu * self.queue_limit_seconds
-        dropped = max(0.0, state.backlog - backlog_cap)
-        state.backlog -= dropped
-
-        rho = min(arrival_rate / mu, 0.995)
-        service_time = demands.base_latency * pressure
-        wait = service_time / (1.0 - rho) + (state.backlog / mu if mu > 0 else 0.0)
-        wait = min(wait, self.max_latency)
-        state.last_wait = wait
-
-        served_rate = served / dt
-        pod.record_usage(
-            ResourceVector._from_fields(
-                served_rate * demands.cpu_seconds,
-                min(required_mem, pod.allocation.memory),
-                served_rate * demands.disk_mb,
-                served_rate * demands.net_mb,
-            )
-        )
-        return wait, served, dropped, bottleneck
 
     # -- metrics --------------------------------------------------------------------
 

@@ -235,7 +235,7 @@ class StreamJob(Application):
     def tick(self, dt: float, now: float) -> None:
         offered = max(0.0, self.trace.rate(now))
         self.current_offered = offered
-        workers = self.running_pods()
+        workers = self._running_pods()
         arrivals = offered * dt
         self.total_arrived += arrivals
         restoring = self._ft_pre_tick(now) if self.ft is not None else False

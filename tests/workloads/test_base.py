@@ -138,3 +138,179 @@ def test_sample_metrics_aggregates(engine, api):
 
 def test_metric_prefix(engine, api):
     assert TickCounter("svc", engine, api).metric_prefix() == "app/svc"
+
+
+# -- tick groups -----------------------------------------------------------------
+
+
+class OrderedTicker(TickCounter):
+    """Ticker appending ``(now, name)`` to a log shared by several apps."""
+
+    def __init__(self, name, engine, api, log, **kwargs):
+        super().__init__(name, engine, api, initial_replicas=0, **kwargs)
+        self.log = log
+
+    def tick(self, dt, now):
+        super().tick(dt, now)
+        self.log.append((now, self.name))
+
+
+def started(engine, api, log, *names):
+    apps = [OrderedTicker(name, engine, api, log) for name in names]
+    for app in apps:
+        app.start()
+    return apps
+
+
+def test_app_started_at_priority_zero_ticks_after_members(engine, api):
+    log = []
+    started(engine, api, log, "a", "b")
+    late = OrderedTicker("c", engine, api, log)
+    engine.schedule_at(2.0, late.start)
+    engine.run_until(4.0)
+    assert log == [
+        (1.0, "a"), (1.0, "b"),
+        (2.0, "a"), (2.0, "b"),
+        (3.0, "a"), (3.0, "b"), (3.0, "c"),
+        (4.0, "a"), (4.0, "b"), (4.0, "c"),
+    ]
+
+
+def test_joining_app_adds_no_engine_event(engine, api):
+    log = []
+    started(engine, api, log, "a")
+    before = engine.pending_count()
+    started(engine, api, log, "b", "c")
+    assert engine.pending_count() == before
+
+
+def test_app_started_below_tick_priority_ticks_before_members(engine, api):
+    log = []
+    started(engine, api, log, "a", "b")
+    early = OrderedTicker("c", engine, api, log)
+    engine.schedule_at(2.0, early.start, priority=-10)
+    engine.run_until(4.0)
+    assert log == [
+        (1.0, "a"), (1.0, "b"),
+        (2.0, "a"), (2.0, "b"),
+        (3.0, "c"), (3.0, "a"), (3.0, "b"),
+        (4.0, "c"), (4.0, "a"), (4.0, "b"),
+    ]
+
+
+def test_app_started_off_the_grid_opens_its_own_group(engine, api):
+    log = []
+    started(engine, api, log, "a", "b")
+    engine.run_until(0.5)
+    before = engine.pending_count()
+    started(engine, api, log, "c")
+    assert engine.pending_count() == before + 1
+    engine.run_until(3.0)
+    assert log == [
+        (1.0, "a"), (1.0, "b"),
+        (1.5, "c"),
+        (2.0, "a"), (2.0, "b"),
+        (2.5, "c"),
+        (3.0, "a"), (3.0, "b"),
+    ]
+
+
+def test_member_stopped_by_earlier_member_does_not_tick(engine, api):
+    log = []
+    a, b = started(engine, api, log, "a", "b")
+
+    def stop_b_at_two(dt, now, tick=a.tick):
+        tick(dt, now)
+        if now == 2.0:
+            b.stop()
+
+    a.tick = stop_b_at_two
+    engine.run_until(3.0)
+    assert log == [(1.0, "a"), (1.0, "b"), (2.0, "a"), (3.0, "a")]
+
+
+def test_last_member_leaving_cancels_the_group_event(engine, api):
+    log = []
+    a, b = started(engine, api, log, "a", "b")
+    before = engine.pending_count()
+    a.stop()
+    assert engine.pending_count() == before
+    b.stop()
+    assert engine.pending_count() == before - 1
+    engine.run_until(3.0)
+    assert log == []
+
+
+# -- cached running pods -----------------------------------------------------------
+
+
+def uncached_running(app, api):
+    return [
+        api.get_pod(name)
+        for name in app._pod_names
+        if api.get_pod(name).phase == PodPhase.RUNNING
+    ]
+
+
+def assert_cache_fresh(app, api):
+    assert app.running_pods() == uncached_running(app, api)
+
+
+def test_running_pods_cache_follows_every_transition(engine, api):
+    app = TickCounter("svc", engine, api, initial_replicas=4)
+    app.start()
+    assert_cache_fresh(app, api)
+    for pod in api.pending_pods():
+        api.bind_pod(pod.name, "node-0")
+    assert_cache_fresh(app, api)  # bound, still starting
+    assert app.running_pods() == []
+    engine.run_until(engine.now + 6.0)  # past startup_delay
+    assert_cache_fresh(app, api)
+    assert len(app.running_pods()) == 4
+
+    api.delete_pod("svc-0", reason="preempted")  # external evict
+    assert_cache_fresh(app, api)
+    api.mark_finished("svc-1")  # finish
+    assert_cache_fresh(app, api)
+    assert [p.name for p in app.running_pods()] == ["svc-2", "svc-3"]
+
+    api.delete_pod("svc-3", reason="preempted")
+    app.scale_to(1)  # shrink whose newest victim is already terminal
+    assert_cache_fresh(app, api)
+    assert [p.name for p in app.running_pods()] == ["svc-2"]
+
+    app.scale_to(2)  # a new pending replica
+    assert_cache_fresh(app, api)
+    engine.run_until(engine.now + 2.0)  # a tick on the cached lists
+    assert_cache_fresh(app, api)
+
+    # Dropping the replica list with no pod transition (job completion
+    # clears it) must still invalidate the cache.
+    app._clear_pod_names()
+    assert_cache_fresh(app, api)
+    assert app.running_pods() == []
+
+
+def test_running_pods_returns_a_fresh_list(engine, api):
+    app = TickCounter("svc", engine, api, initial_replicas=2)
+    app.start()
+    bind_all(api, engine)
+    running = app.running_pods()
+    running.clear()
+    assert len(app.running_pods()) == 2
+
+
+def test_running_pods_cache_cleared_on_job_completion(engine, api):
+    from repro.workloads.hpc import HPCJob
+
+    job = HPCJob("mpi", engine, api, ranks=2, duration=5.0, allocation=ALLOC)
+    job.start()
+    for i, pod in enumerate(api.pending_pods()):
+        api.bind_pod(pod.name, f"node-{i}")
+    engine.run_until(engine.now + 6.0)
+    assert_cache_fresh(job, api)
+    assert len(job.running_pods()) == 2
+    engine.run_until(engine.now + 20.0)  # completes: _pod_names cleared
+    assert job.completed_at is not None
+    assert_cache_fresh(job, api)
+    assert job.running_pods() == []

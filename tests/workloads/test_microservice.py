@@ -107,6 +107,18 @@ class TestBottlenecks:
         engine.run_until(30.0)
         assert svc.current_bottleneck == "disk_bw"
 
+    @pytest.mark.parametrize("alloc", [
+        ResourceVector(cpu=0.3, memory=4, disk_bw=200, net_bw=200),
+        ResourceVector(cpu=4, memory=4, disk_bw=5, net_bw=200),
+        ResourceVector(cpu=4, memory=4, disk_bw=200, net_bw=2),
+        ResourceVector(cpu=1, memory=4, disk_bw=10, net_bw=5),  # a tie
+    ])
+    def test_tick_bottleneck_matches_capacity(self, engine, api, alloc):
+        # The tick inlines ServiceDemands.capacity; both must agree.
+        svc = deploy(engine, api, trace=ConstantTrace(20), allocation=alloc)
+        engine.run_until(10.0)
+        assert svc.current_bottleneck == DEMANDS.capacity(alloc)[1]
+
     def test_memory_pressure_inflates_latency(self, engine, api):
         demands = ServiceDemands(
             cpu_seconds=0.001, mem_base=2.0, mem_per_inflight=0.01, base_latency=0.01
