@@ -129,16 +129,14 @@ class Cluster:
         return total_capacity(self.nodes.values())
 
     def total_allocated(self) -> ResourceVector:
-        total = ResourceVector.zero()
-        for node in self.nodes.values():
-            total = total + node.allocated
-        return total
+        return ResourceVector.sum_of(
+            node.allocated for node in self.nodes.values()
+        )
 
     def total_usage(self) -> ResourceVector:
-        total = ResourceVector.zero()
-        for node in self.nodes.values():
-            total = total + node.usage()
-        return total
+        return ResourceVector.sum_of(
+            node.usage() for node in self.nodes.values()
+        )
 
     # -- lifecycle: submit / bind / start ---------------------------------------
 

@@ -77,10 +77,7 @@ class Node:
 
     def usage(self) -> ResourceVector:
         """Sum of measured usage of pods bound here."""
-        total = ResourceVector.zero()
-        for pod in self.pods.values():
-            total = total + pod.usage
-        return total
+        return ResourceVector.sum_of(pod.usage for pod in self.pods.values())
 
     def allocation_fraction(self) -> dict[str, float]:
         """Per-resource allocated / allocatable."""
@@ -164,7 +161,4 @@ class Node:
 
 def total_capacity(nodes: Iterable[Node]) -> ResourceVector:
     """Sum of allocatable capacity over ``nodes``."""
-    total = ResourceVector.zero()
-    for node in nodes:
-        total = total + node.allocatable
-    return total
+    return ResourceVector.sum_of(node.allocatable for node in nodes)

@@ -15,7 +15,7 @@ returns new vectors.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 #: Canonical resource dimension names, in controller order.
 RESOURCES: tuple[str, ...] = ("cpu", "memory", "disk_bw", "net_bw")
@@ -64,6 +64,21 @@ class ResourceVector:
         if cls is ResourceVector:
             return _ZERO
         return cls()
+
+    @staticmethod
+    def sum_of(vectors: Iterable["ResourceVector"]) -> "ResourceVector":
+        """Elementwise sum, accumulated per field from 0.0 in order.
+
+        The same floats as adding the vectors one by one to :meth:`zero`
+        (``0.0 + x`` is exact), without a temporary vector per addend.
+        """
+        cpu = memory = disk_bw = net_bw = 0.0
+        for vec in vectors:
+            cpu += vec.cpu
+            memory += vec.memory
+            disk_bw += vec.disk_bw
+            net_bw += vec.net_bw
+        return ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)
 
     @classmethod
     def uniform(cls, value: float) -> "ResourceVector":

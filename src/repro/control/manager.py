@@ -827,7 +827,8 @@ class ControlLoopManager:
             return
         app = entry.app
         metric = app.plo.metric_name(app.name)
-        signal_time = self.collector.latest_time(metric)
+        signal = self.collector.latest_sample(metric)
+        signal_time = signal[0] if signal is not None else None
         signal_age = now - signal_time if signal_time is not None else None
         scrape_span = (
             self.collector.scrape_span_at(signal_time)
@@ -861,7 +862,7 @@ class ControlLoopManager:
             output=decision.output if decision is not None else None,
             gain_scale=decision.gain_scale if decision is not None else None,
             terms=controller.pid.last_terms if decision is not None else None,
-            inputs={metric: self.collector.latest(metric)},
+            inputs={metric: signal[1] if signal is not None else None},
             signal_age=signal_age,
             stale_periods=entry.stale_periods,
             safe_mode=entry.safe_mode,

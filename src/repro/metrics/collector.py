@@ -10,12 +10,23 @@ granularity — the same staleness a real PID loop fights.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Mapping, Protocol
 
 from repro.cluster.api import ClusterAPI
 from repro.cluster.resources import RESOURCES
-from repro.metrics.timeseries import ChangePointSeries, TimeSeries
+from repro.metrics.timeseries import ChangePointSeries, TimeSeries, append_column
 from repro.sim.engine import Engine, PeriodicHandle
+
+_span_start = attrgetter("start")
+
+#: Metric keys of the cluster-wide and per-node gauges, in store order.
+_CLUSTER_KEYS = tuple(
+    f"{kind}/{name}" for name in RESOURCES for kind in ("alloc_frac", "usage_frac")
+)
+_NODE_KEYS = tuple(
+    f"{kind}/{name}" for name in RESOURCES for kind in ("usage_frac", "alloc_frac")
+)
 
 
 class MetricsSource(Protocol):
@@ -28,6 +39,58 @@ class MetricsSource(Protocol):
     def sample_metrics(self, now: float) -> Mapping[str, float]:
         """Return current metric values keyed by short metric name."""
         ...
+
+
+def _fractions(first: tuple[float, ...], second: tuple[float, ...],
+               cap: tuple[float, ...]) -> tuple[float, ...]:
+    """Per-field ``first / cap`` and ``second / cap`` (fields in
+    :data:`RESOURCES` order), interleaved; 0 where ``cap`` is not
+    positive."""
+    f_c, f_m, f_d, f_n = first
+    s_c, s_m, s_d, s_n = second
+    c, m, d, n = cap
+    return (
+        f_c / c if c > 0 else 0.0,
+        s_c / c if c > 0 else 0.0,
+        f_m / m if m > 0 else 0.0,
+        s_m / m if m > 0 else 0.0,
+        f_d / d if d > 0 else 0.0,
+        s_d / d if d > 0 else 0.0,
+        f_n / n if n > 0 else 0.0,
+        s_n / n if n > 0 else 0.0,
+    )
+
+
+class _Frame:
+    """Where one round of a source (or of the cluster gauges) is stored.
+
+    ``keys`` is what the frame was built for and is rebuilt on: a
+    source's metric keys in round order, or the cluster round's node
+    names. ``names`` are the full series names in store order and
+    ``series`` the resolved series. A slot stays None until a sample
+    under its name is stored: a series whose first samples a fault drops
+    does not exist (``has_series`` is False) until one is kept.
+    """
+
+    __slots__ = ("keys", "names", "series")
+
+    def __init__(self, keys: tuple[str, ...], names: tuple[str, ...],
+                 series_map):
+        self.keys = keys
+        self.names = names
+        self.series: list[TimeSeries | None] = [
+            series_map.get(name) for name in names
+        ]
+
+
+def _cluster_names(node_names: tuple[str, ...]) -> tuple[str, ...]:
+    """Series names of the cluster round in store order: the cluster
+    fractions, each node's fractions, then the pending-pod count."""
+    return (
+        *(f"cluster/{key}" for key in _CLUSTER_KEYS),
+        *(f"node/{node}/{key}" for node in node_names for key in _NODE_KEYS),
+        "cluster/pending_pods",
+    )
 
 
 class MetricsCollector:
@@ -57,8 +120,15 @@ class MetricsCollector:
         self.scrape_interval = scrape_interval
         self._series_maxlen = series_maxlen
         self._sources: list[MetricsSource] = []
-        self._internal_sources: list[MetricsSource] = []
+        # Internal sources, each with its metric -> series table.
+        self._internal_sources: list[
+            tuple[MetricsSource, dict[str, ChangePointSeries]]
+        ] = []
         self._series: dict[str, TimeSeries] = {}
+        # Store frames: one per source prefix, and the cluster round's,
+        # keyed by the node names it covers.
+        self._frames: dict[str, _Frame] = {}
+        self._cluster_frame: _Frame | None = None
         self._handle: PeriodicHandle | None = None
         self.scrapes = 0
         #: Scrape rounds that produced no samples (dropped by a fault) or
@@ -70,10 +140,9 @@ class MetricsCollector:
         self.faults = faults
         #: Optional :class:`~repro.obs.telemetry.Telemetry` bundle.
         self.telemetry = None
-        # Completed scrape rounds as parallel (time, span_id) lists so a
-        # decision can be linked back to the scrape that fed it.
-        self._scrape_span_times: list[float] = []
-        self._scrape_span_ids: list[int] = []
+        # Spans of completed scrape rounds, in time order, so a decision
+        # can be linked back to the scrape that fed it.
+        self._scrape_spans: list = []
         # Post-scrape hooks (e.g. the SLO engine) run after a completed
         # round, never on dropped rounds. Observation-only by contract.
         self._scrape_hooks: list = []
@@ -99,7 +168,7 @@ class MetricsCollector:
         and must not draw extra RNG for them, which would perturb seeded
         runs depending on whether telemetry is enabled.
         """
-        self._internal_sources.append(source)
+        self._internal_sources.append((source, {}))
 
     def add_scrape_hook(self, hook) -> None:
         """Run ``hook(now)`` after each completed scrape round.
@@ -144,17 +213,6 @@ class MetricsCollector:
         """Record an out-of-band sample (e.g. per-event observations)."""
         self.series(name).append(self.engine.now, value)
 
-    def _store(self, name: str, value: float, now: float) -> None:
-        """Append one scraped sample, subject to the fault filter."""
-        if self.faults is not None:
-            series = self._series.get(name)
-            value = self.faults.filter(
-                name, value, now, series.last() if series is not None else None
-            )
-            if value is None:
-                return
-        self.series(name).append(now, value)
-
     def scrape(self) -> None:
         """Sample every source and cluster-level gauges once."""
         now = self.engine.now
@@ -186,8 +244,7 @@ class MetricsCollector:
         else:
             tel.scrapes.inc()
             sp = tel.tracer.begin("scrape", "metrics", round=self.scrapes)
-            self._scrape_span_times.append(now)
-            self._scrape_span_ids.append(sp.id)
+            self._scrape_spans.append(sp)
             try:
                 self._scrape_all(now)
             finally:
@@ -196,81 +253,142 @@ class MetricsCollector:
             for hook in self._scrape_hooks:
                 hook(now)
 
+    def _store(self, frame: _Frame, values, now: float, faults) -> None:
+        """Store one round of ``frame``'s samples, ``values`` in key order.
+
+        On a quiescent pipeline the round is appended column-wise. When
+        ``faults`` is set, the filter runs per sample in key order (its
+        RNG draws are part of the seeded stream) and only the samples it
+        keeps are appended; a series is created when its first sample is
+        stored, never for a dropped one.
+        """
+        slots = frame.series
+        if faults is not None:
+            column, kept = [], []
+            for i, value in enumerate(values):
+                name = frame.names[i]
+                series = slots[i]
+                if series is None:
+                    # A reader may have created it since the frame was built.
+                    series = slots[i] = self._series.get(name)
+                value = faults.filter(
+                    name, value, now,
+                    series.last() if series is not None else None,
+                )
+                if value is None:
+                    continue
+                if series is None:
+                    series = slots[i] = self.series(name)
+                column.append(series)
+                kept.append(value)
+            append_column(column, now, kept)
+            return
+        if None in slots:
+            for i, name in enumerate(frame.names):
+                if slots[i] is None:
+                    slots[i] = self.series(name)
+        append_column(slots, now, values)
+
     def _scrape_all(self, now: float) -> None:
-        # Batched store path: the fault filter is consulted once per
-        # round; on a quiescent pipeline (no active per-sample faults —
-        # the common case) every sample appends straight into its series
-        # without the per-sample filter/match machinery. Sample order is
-        # identical either way, so seeded runs are unchanged.
+        # The fault filter is consulted once per round; on a quiescent
+        # pipeline (the common case) every frame appends column-wise.
         faults = self.faults
         if faults is not None and not faults.distorts_samples(now):
             faults = None
-        series_map = self._series
-        maxlen = self._series_maxlen
-
-        def store_batch(prefix: str, samples) -> None:
-            for metric, value in samples.items():
-                name = f"{prefix}/{metric}"
-                series = series_map.get(name)
-                if faults is not None:
-                    value = faults.filter(
-                        name, value, now,
-                        series.last() if series is not None else None,
-                    )
-                    if value is None:
-                        continue
-                if series is None:
-                    series = series_map[name] = TimeSeries(maxlen=maxlen)
-                series.append(now, value)
-
+        store = self._store
+        frames = self._frames
         for source in list(self._sources):
-            store_batch(source.metric_prefix(), source.sample_metrics(now))
-        allocatable = self.api.total_allocatable()
-        allocated = self.api.total_allocated()
-        usage = self.api.total_usage()
-        cluster_gauges: dict[str, float] = {}
-        for name in RESOURCES:
-            cap = allocatable[name]
-            cluster_gauges[f"alloc_frac/{name}"] = (
-                allocated[name] / cap if cap > 0 else 0.0
-            )
-            cluster_gauges[f"usage_frac/{name}"] = (
-                usage[name] / cap if cap > 0 else 0.0
-            )
-        # Preserve the historical interleaved order (alloc, usage per
-        # resource) — it only matters under a fault filter drawing RNG
-        # per sample, where order is part of the seeded stream.
-        store_batch("cluster", cluster_gauges)
-        for node in self.api.list_nodes():
-            fractions = node.usage_fraction()
-            alloc_fractions = node.allocation_fraction()
-            node_gauges: dict[str, float] = {}
-            for name in RESOURCES:
-                node_gauges[f"usage_frac/{name}"] = fractions[name]
-                node_gauges[f"alloc_frac/{name}"] = alloc_fractions[name]
-            store_batch(f"node/{node.name}", node_gauges)
-        store_batch(
-            "cluster",
-            {"pending_pods": float(len(self.api.pending_pods()))},
-        )
-        # Control-plane self-metrics bypass the fault filter: see
-        # register_internal. Inline the series lookup — this loop runs
-        # every scrape and the telemetry overhead gate counts its calls.
-        for source in list(self._internal_sources):
             prefix = source.metric_prefix()
-            for metric, value in source.sample_metrics(now).items():
+            samples = source.sample_metrics(now)
+            keys = tuple(samples)
+            frame = frames.get(prefix)
+            if frame is None or frame.keys != keys:
+                # A new source, or its key set changed (a brownout gauge
+                # appearing, a batch job entering a stage): rebuild.
+                frame = frames[prefix] = _Frame(
+                    keys, tuple(f"{prefix}/{key}" for key in keys),
+                    self._series,
+                )
+            store(frame, samples.values(), now, faults)
+
+        # The cluster round is one frame: the cluster fractions, each
+        # node's fractions, the pending-pod count.
+        nodes = self.api.list_nodes()
+        node_names = tuple(node.name for node in nodes)
+        frame = self._cluster_frame
+        if frame is None or frame.keys != node_names:
+            frame = self._cluster_frame = _Frame(
+                node_names, _cluster_names(node_names), self._series
+            )
+        # One pass over the nodes sums each node's pod usage once, per
+        # field. The cluster totals accumulate per field in node order from
+        # 0.0: the floats ResourceVector.sum_of (Cluster.total_*) produces.
+        cap_c = cap_m = cap_d = cap_n = 0.0
+        alloc_c = alloc_m = alloc_d = alloc_n = 0.0
+        use_c = use_m = use_d = use_n = 0.0
+        node_values: list[float] = []
+        for node in nodes:
+            u_c = u_m = u_d = u_n = 0.0
+            for pod in node.pods.values():
+                usage = pod.usage
+                u_c += usage.cpu
+                u_m += usage.memory
+                u_d += usage.disk_bw
+                u_n += usage.net_bw
+            cap, alloc = node.allocatable, node.allocated
+            cap_c += cap.cpu
+            cap_m += cap.memory
+            cap_d += cap.disk_bw
+            cap_n += cap.net_bw
+            alloc_c += alloc.cpu
+            alloc_m += alloc.memory
+            alloc_d += alloc.disk_bw
+            alloc_n += alloc.net_bw
+            use_c += u_c
+            use_m += u_m
+            use_d += u_d
+            use_n += u_n
+            node_values += _fractions(
+                (u_c, u_m, u_d, u_n),
+                (alloc.cpu, alloc.memory, alloc.disk_bw, alloc.net_bw),
+                (cap.cpu, cap.memory, cap.disk_bw, cap.net_bw),
+            )
+        values = list(_fractions(
+            (alloc_c, alloc_m, alloc_d, alloc_n),
+            (use_c, use_m, use_d, use_n),
+            (cap_c, cap_m, cap_d, cap_n),
+        ))
+        values += node_values
+        values.append(float(len(self.api.pending_pods())))
+        store(frame, values, now, faults)
+        # Control-plane self-metrics bypass the fault filter: see
+        # register_internal. Their exports are delta-suppressed, so the key
+        # set changes every round and a frame would never be reused; each
+        # source keeps a metric -> series table instead, and its round is
+        # resolved and appended without a call per sample (the telemetry
+        # overhead gate counts calls).
+        for source, table in list(self._internal_sources):
+            samples = source.sample_metrics(now)
+            try:
+                column = list(map(table.__getitem__, samples))
+            except KeyError:
+                self._resolve_internal(source, table, samples)
+                column = list(map(table.__getitem__, samples))
+            append_column(column, now, samples.values())
+
+    def _resolve_internal(self, source, table, samples) -> None:
+        """Add the series of an internal source's new metrics to its table."""
+        prefix = source.metric_prefix()
+        for metric in samples:
+            if metric not in table:
                 name = f"{prefix}/{metric}"
-                if name in series_map:
-                    series = series_map[name]
-                else:
-                    # Internal sources delta-suppress their exports, so
-                    # their series hold change points, not uniform
-                    # ticks; ChangePointSeries rejects windowed
-                    # aggregates that would misread that encoding.
-                    series = series_map[name] = ChangePointSeries(
-                        maxlen=maxlen
+                if name not in self._series:
+                    # Change points, not uniform ticks: ChangePointSeries
+                    # rejects windowed aggregates that would misread them.
+                    self._series[name] = ChangePointSeries(
+                        maxlen=self._series_maxlen
                     )
-                series.append(now, value)
+                table[metric] = self._series[name]
 
     # -- convenience queries ------------------------------------------------------
 
@@ -278,6 +396,15 @@ class MetricsCollector:
         """Most recent value of a series, or None if absent/empty."""
         series = self._series.get(name)
         return series.last() if series is not None else None
+
+    def latest_sample(self, name: str) -> tuple[float, float] | None:
+        """``(time, value)`` of the most recent sample, or None.
+
+        One lookup for a reader that needs both :meth:`latest_time` and
+        :meth:`latest` of the same series.
+        """
+        series = self._series.get(name)
+        return series.last_sample() if series is not None else None
 
     def latest_time(self, name: str) -> float | None:
         """Timestamp of the most recent sample, or None if absent/empty.
@@ -300,8 +427,8 @@ class MetricsCollector:
 
     def scrape_span_at(self, time: float) -> int | None:
         """Span id of the last completed scrape at or before ``time``."""
-        idx = bisect.bisect_right(self._scrape_span_times, time) - 1
-        return self._scrape_span_ids[idx] if idx >= 0 else None
+        idx = bisect.bisect_right(self._scrape_spans, time, key=_span_start) - 1
+        return self._scrape_spans[idx].id if idx >= 0 else None
 
     def window_mean(self, name: str, span: float) -> float | None:
         series = self._series.get(name)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,21 +53,7 @@ class TimeSeries:
 
     def append(self, time: float, value: float) -> None:
         """Append a sample; time must be ≥ the last appended time."""
-        times = self._times
-        if times and time < times[-1]:
-            raise ValueError(
-                f"out-of-order sample: t={time} after t={times[-1]}"
-            )
-        # Skip the float() coercion for exact floats (the hot path); the
-        # isinstance guard keeps ints/bools normalized as before.
-        times.append(time if type(time) is float else float(time))
-        self._values.append(value if type(value) is float else float(value))
-        if len(times) - self._start > self._maxlen:
-            self._start += 1
-            if self._start >= self._maxlen:
-                del times[: self._start]
-                del self._values[: self._start]
-                self._start = 0
+        append_column((self,), time, (value,))
 
     # -- point queries -------------------------------------------------------
 
@@ -78,6 +65,13 @@ class TimeSeries:
     def last_time(self) -> float | None:
         times = self._times
         return times[-1] if len(times) > self._start else None
+
+    def last_sample(self) -> tuple[float, float] | None:
+        """Most recent ``(time, value)``, or None when empty."""
+        times = self._times
+        if len(times) > self._start:
+            return times[-1], self._values[-1]
+        return None
 
     def value_at(self, time: float) -> float | None:
         """Last value at or before ``time`` (step interpolation)."""
@@ -199,6 +193,34 @@ class TimeSeries:
     def to_lists(self) -> tuple[list[float], list[float]]:
         """Copies of (times, values), e.g. for plotting or export."""
         return self._times[self._start:], self._values[self._start:]
+
+
+def append_column(series: Sequence[TimeSeries], time: float,
+                  values: Iterable[float]) -> None:
+    """Append ``(time, v)`` to each series, pairing them in order.
+
+    The one store path behind :meth:`TimeSeries.append`: a whole scrape
+    round costs one call instead of one per sample. Raises ``ValueError``
+    on a sample older than its series' last one (series before it keep
+    their new sample), coerces to float, and evicts FIFO past ``maxlen``.
+    """
+    # Skip the float() coercion for exact floats (the hot path); the type
+    # check keeps ints/bools normalized.
+    stamp = time if type(time) is float else float(time)
+    for ts, value in zip(series, values):
+        times = ts._times
+        if times and time < times[-1]:
+            raise ValueError(
+                f"out-of-order sample: t={time} after t={times[-1]}"
+            )
+        times.append(stamp)
+        ts._values.append(value if type(value) is float else float(value))
+        if len(times) - ts._start > ts._maxlen:
+            ts._start += 1
+            if ts._start >= ts._maxlen:
+                del times[: ts._start]
+                del ts._values[: ts._start]
+                ts._start = 0
 
 
 class ChangePointQueryError(TypeError):

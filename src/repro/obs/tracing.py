@@ -245,10 +245,11 @@ class Tracer:
 
     def end(self, span: Span) -> None:
         span.end = self.engine._now
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(span)
+        stack = self._stack
+        if stack and stack[-1] is span:
+            del stack[-1]  # bytecode, not a profiled pop() call
+        elif span in stack:  # pragma: no cover - defensive
+            stack.remove(span)
 
     @contextmanager
     def span(self, name: str, cat: str = "", parent=None, **args) -> Iterator[Span]:

@@ -209,6 +209,39 @@ def test_totals(engine, cluster):
     assert cluster.total_allocatable().cpu == 48
 
 
+def test_totals_equal_vector_sums(engine):
+    """Per-field scalar totals give the floats of adding the vectors one
+    by one from zero, on capacities and usages no float represents."""
+    nodes = [
+        Node(f"n{i}", ResourceVector(0.1 * (i + 1), 1 / 3 + i, 0.7, 1e-3 * i),
+             system_reserved=ResourceVector(0.01, 0.2 / 3, 0.1, 0.0))
+        for i in range(5)
+    ]
+    cluster = Cluster(engine, nodes)
+    for i, node in enumerate(nodes[:4]):
+        cluster.submit(make_spec(f"p{i}", cpu=0.03 * (i + 1), memory=0.1,
+                                 disk_bw=0.1, net_bw=0.0))
+        cluster.bind(f"p{i}", node.name)
+        cluster.get_pod(f"p{i}").record_usage(
+            ResourceVector(0.01 * (i + 1), 0.1 / 3, 0.2 / 7, 0.3)
+        )
+
+    def vector_sum(vectors):
+        total = ResourceVector.zero()
+        for vec in vectors:
+            total = total + vec
+        return total
+
+    assert cluster.total_allocatable() == vector_sum(n.allocatable for n in nodes)
+    assert cluster.total_allocated() == vector_sum(n.allocated for n in nodes)
+    assert cluster.total_usage() == vector_sum(
+        vector_sum(p.usage for p in n.pods.values()) for n in nodes
+    )
+    for node in nodes:
+        assert node.usage() == vector_sum(p.usage for p in node.pods.values())
+    assert cluster.total_usage().cpu != 0.0
+
+
 def test_pods_of_app_and_gang(engine, cluster):
     cluster.submit(make_spec("a-0", app="a"))
     cluster.submit(make_spec("a-1", app="a"))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.timeseries import TimeSeries
+from repro.metrics.timeseries import TimeSeries, append_column
 
 
 def series_from(pairs):
@@ -231,3 +231,58 @@ class TestCompaction:
         # Only values 4, 5 are retained; alpha=1 returns the last.
         assert ts.ewma(1.0) == 5.0
         assert ts.ewma(0.5) == pytest.approx(0.5 * 5 + 0.5 * 4)
+
+
+class TestAppendColumn:
+    """The batch append keeps every check of the single-sample append."""
+
+    def test_matches_append_per_series(self):
+        single = [TimeSeries(maxlen=3), TimeSeries(maxlen=5)]
+        column = [TimeSeries(maxlen=3), TimeSeries(maxlen=5)]
+        for step in range(12):
+            # Ints and bools are coerced to float, as append does.
+            values = (step * 0.1, True if step % 2 else step)
+            for ts, value in zip(single, values):
+                ts.append(step, value)
+            append_column(column, step, values)
+        for a, b in zip(single, column):
+            assert a.to_lists() == b.to_lists()
+            assert [type(v) for v in b.to_lists()[0] + b.to_lists()[1]] == [
+                float
+            ] * (2 * len(b))
+
+    @pytest.mark.parametrize("maxlen", [1, 2, 3, 7])
+    def test_evicts_at_maxlen_like_append(self, maxlen):
+        single, batch = TimeSeries(maxlen=maxlen), TimeSeries(maxlen=maxlen)
+        for i in range(4 * maxlen + 3):
+            single.append(float(i), float(i))
+            append_column([batch], float(i), [float(i)])
+            assert len(batch) == len(single) == min(i + 1, maxlen)
+            assert batch.to_lists() == single.to_lists()
+            assert batch._start == single._start
+
+    def test_out_of_order_raises_like_append(self):
+        single = series_from([(2.0, 1.0)])
+        batch = series_from([(2.0, 1.0)])
+        with pytest.raises(ValueError) as expected:
+            single.append(1.5, 9.0)
+        with pytest.raises(ValueError) as got:
+            append_column([batch], 1.5, [9.0])
+        assert str(got.value) == str(expected.value)
+        assert batch.to_lists() == single.to_lists() == ([2.0], [1.0])
+
+    def test_out_of_order_series_stops_the_column(self):
+        fresh, stale, after = TimeSeries(), series_from([(5.0, 0.0)]), TimeSeries()
+        with pytest.raises(ValueError):
+            append_column([fresh, stale, after], 4.0, [1.0, 2.0, 3.0])
+        assert fresh.to_lists() == ([4.0], [1.0])
+        assert stale.to_lists() == ([5.0], [0.0])
+        assert len(after) == 0
+
+    def test_last_sample(self):
+        ts = TimeSeries(maxlen=2)
+        assert ts.last_sample() is None
+        for i in range(5):
+            ts.append(float(i), 10.0 * i)
+        assert ts.last_sample() == (4.0, 40.0)
+
