@@ -41,6 +41,9 @@ class PodPhase(enum.Enum):
 #: Phases in which a pod occupies node resources.
 ACTIVE_PHASES = frozenset({PodPhase.SCHEDULED, PodPhase.RUNNING})
 
+#: Phases a pod never leaves: it finished, crashed or was evicted.
+TERMINAL_PHASES = frozenset({PodPhase.SUCCEEDED, PodPhase.FAILED, PodPhase.EVICTED})
+
 
 @dataclass(frozen=True)
 class PodSpec:
@@ -153,7 +156,7 @@ class Pod:
 
     @property
     def terminal(self) -> bool:
-        return self.phase in (PodPhase.SUCCEEDED, PodPhase.FAILED, PodPhase.EVICTED)
+        return self.phase in TERMINAL_PHASES
 
     def record_usage(self, usage: ResourceVector) -> None:
         """Record measured usage, enforced at the current allocation.

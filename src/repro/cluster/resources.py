@@ -275,8 +275,11 @@ class ResourceVector:
 
     def approx_equal(self, other: "ResourceVector", *, tolerance: float = 1e-9) -> bool:
         """Elementwise closeness check for tests and invariants."""
-        return all(
-            abs(getattr(self, n) - getattr(other, n)) <= tolerance for n in RESOURCES
+        return (
+            abs(self.cpu - other.cpu) <= tolerance
+            and abs(self.memory - other.memory) <= tolerance
+            and abs(self.disk_bw - other.disk_bw) <= tolerance
+            and abs(self.net_bw - other.net_bw) <= tolerance
         )
 
 

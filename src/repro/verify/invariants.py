@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import LeaderElected, PodEvicted
-from repro.cluster.pod import PodPhase
+from repro.cluster.pod import ACTIVE_PHASES, TERMINAL_PHASES, PodPhase
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine
 
@@ -140,30 +140,39 @@ class ResourceConservation(Invariant):
     def check(self, ctx: CheckContext) -> Iterable[str]:
         out: list[str] = []
         for node in ctx.cluster.nodes.values():
-            total = ResourceVector.zero()
+            # Per-field sums from 0.0 in pod order: the same floats as
+            # adding the allocation vectors to ``ResourceVector.zero()``.
+            cpu = memory = disk_bw = net_bw = 0.0
             for pod in node.pods.values():
-                total = total + pod.allocation
-                if not pod.active:
+                alloc = pod.allocation
+                cpu += alloc.cpu
+                memory += alloc.memory
+                disk_bw += alloc.disk_bw
+                net_bw += alloc.net_bw
+                if pod.phase not in ACTIVE_PHASES:
                     out.append(
                         f"node {node.name}: pod {pod.name} holds resources "
                         f"in phase {pod.phase.value}"
                     )
-            if not total.approx_equal(node.allocated, tolerance=_TOLERANCE):
+            allocated = node.allocated
+            if not (
+                abs(cpu - allocated.cpu) <= _TOLERANCE
+                and abs(memory - allocated.memory) <= _TOLERANCE
+                and abs(disk_bw - allocated.disk_bw) <= _TOLERANCE
+                and abs(net_bw - allocated.net_bw) <= _TOLERANCE
+            ):
+                total = ResourceVector(cpu, memory, disk_bw, net_bw)
                 out.append(
                     f"node {node.name}: allocation drift (tracked "
-                    f"{node.allocated!r}, actual {total!r})"
+                    f"{allocated!r}, actual {total!r})"
                 )
-            if not node.allocated.fits_within(
-                node.allocatable, tolerance=_TOLERANCE
-            ):
+            if not allocated.fits_within(node.allocatable, tolerance=_TOLERANCE):
                 out.append(
                     f"node {node.name}: over-allocated (allocated "
-                    f"{node.allocated!r}, allocatable {node.allocatable!r})"
+                    f"{allocated!r}, allocatable {node.allocatable!r})"
                 )
-            if node.allocated.any_negative():
-                out.append(
-                    f"node {node.name}: negative allocation {node.allocated!r}"
-                )
+            if allocated.any_negative():
+                out.append(f"node {node.name}: negative allocation {allocated!r}")
         return out
 
 
@@ -176,27 +185,29 @@ class NoDoubleBind(Invariant):
         out: list[str] = []
         holders: dict[str, list[str]] = {}
         for node in ctx.cluster.nodes.values():
+            node_name = node.name
             for pod_name in node.pods:
-                holders.setdefault(pod_name, []).append(node.name)
+                holders.setdefault(pod_name, []).append(node_name)
         for pod_name, nodes in holders.items():
             if len(nodes) > 1:
                 out.append(
                     f"pod {pod_name} bound to {len(nodes)} nodes: "
                     f"{sorted(nodes)}"
                 )
-        for pod in ctx.cluster.pods.values():
-            held = holders.get(pod.name, ())
-            if pod.active:
-                if pod.node_name is None:
-                    out.append(f"active pod {pod.name} has no node")
-                elif list(held) != [pod.node_name]:
+        for name, pod in ctx.cluster.pods.items():
+            held = holders.get(name, ())
+            if pod.phase in ACTIVE_PHASES:
+                node_name = pod.node_name
+                if node_name is None:
+                    out.append(f"active pod {name} has no node")
+                elif len(held) != 1 or held[0] != node_name:
                     out.append(
-                        f"pod {pod.name} records node {pod.node_name} but is "
+                        f"pod {name} records node {node_name} but is "
                         f"held by {sorted(held)}"
                     )
             elif held:
                 out.append(
-                    f"{pod.phase.value} pod {pod.name} still holds node "
+                    f"{pod.phase.value} pod {name} still holds node "
                     f"resources on {sorted(held)}"
                 )
         for pod in ctx.cluster.pending_pods():
@@ -248,11 +259,11 @@ class GangAtomicity(Invariant):
         gangs: dict[str, list] = {}
         for pod in ctx.cluster.pods.values():
             gang_id = pod.spec.gang_id
-            if gang_id is None or pod.terminal:
+            if gang_id is None or pod.phase in TERMINAL_PHASES:
                 continue
             gangs.setdefault(gang_id, []).append(pod)
         for gang_id, members in gangs.items():
-            bound = sum(1 for p in members if p.active)
+            bound = sum(1 for p in members if p.phase in ACTIVE_PHASES)
             pending = sum(1 for p in members if p.phase is PodPhase.PENDING)
             size = max(self._size.get(gang_id, 0), bound + pending)
             self._size[gang_id] = size
@@ -463,22 +474,26 @@ class ShedConservation(Invariant):
 
     def check(self, ctx: CheckContext) -> Iterable[str]:
         out: list[str] = []
-        for name in self._shed:
-            pod = ctx.cluster.pods.get(name)
-            if pod is not None and not pod.terminal:
-                out.append(
-                    f"shed pod {name} resurrected in phase {pod.phase.value}"
-                )
-        for pod in ctx.cluster.pending_pods():
-            if pod.name in self._shed:
-                out.append(f"shed pod {pod.name} back in the pending queue")
-        for node in ctx.cluster.nodes.values():
-            for pod_name in node.pods:
-                if pod_name in self._shed:
+        shed = self._shed
+        # Each walk can only report a name in ``_shed``; with no load-shed
+        # eviction observed yet there is nothing for them to find.
+        if shed:
+            for name in shed:
+                pod = ctx.cluster.pods.get(name)
+                if pod is not None and pod.phase not in TERMINAL_PHASES:
                     out.append(
-                        f"shed pod {pod_name} still holds resources on "
-                        f"node {node.name}"
+                        f"shed pod {name} resurrected in phase {pod.phase.value}"
                     )
+            for pod in ctx.cluster.pending_pods():
+                if pod.name in shed:
+                    out.append(f"shed pod {pod.name} back in the pending queue")
+            for node in ctx.cluster.nodes.values():
+                for pod_name in node.pods:
+                    if pod_name in shed:
+                        out.append(
+                            f"shed pod {pod_name} still holds resources on "
+                            f"node {node.name}"
+                        )
         admission = getattr(ctx.scheduler, "admission", None)
         if admission is not None:
             if admission.shed_total != self._observed:
@@ -724,10 +739,11 @@ class InvariantChecker:
     def check_now(self) -> list[Violation]:
         """Run every invariant once; returns the *new* violations."""
         self.checks_run += 1
-        now = self.ctx.engine.now
+        ctx = self.ctx
+        now = ctx.engine.now
         fresh: list[Violation] = []
         for invariant in self.invariants:
-            for detail in invariant.check(self.ctx):
+            for detail in invariant.check(ctx):
                 violation = Violation(invariant.name, now, detail)
                 if self.on_violation == "raise":
                     raise InvariantViolation(violation)

@@ -26,12 +26,11 @@ builds without any of this.
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import networkx as nx
 
 from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import NodeNotFound
@@ -97,24 +96,35 @@ class Stage:
 
 
 def _validate_dag(stages: Sequence[Stage]) -> list[Stage]:
-    """Check the stage graph is a DAG and return topological order."""
-    by_name = {s.name: s for s in stages}
-    if len(by_name) != len(stages):
+    """Check the stage graph is a DAG and return topological order.
+
+    Kahn's algorithm over a min-heap of submission indices: of the stages
+    whose deps are all placed, the earliest submitted goes next. A
+    repeated dep counts once; a stage depending on itself is a cycle.
+    """
+    index = {s.name: i for i, s in enumerate(stages)}
+    if len(index) != len(stages):
         raise ValueError("duplicate stage names")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(by_name)
-    for stage in stages:
-        for dep in stage.deps:
-            if dep not in by_name:
+    children: list[list[int]] = [[] for _ in stages]
+    waiting = [0] * len(stages)
+    for i, stage in enumerate(stages):
+        for dep in dict.fromkeys(stage.deps):
+            if dep not in index:
                 raise ValueError(f"stage {stage.name!r} depends on unknown {dep!r}")
-            graph.add_edge(dep, stage.name)
-    if not nx.is_directed_acyclic_graph(graph):
+            children[index[dep]].append(i)
+            waiting[i] += 1
+    ready = [i for i, n in enumerate(waiting) if n == 0]  # ascending: a heap
+    order: list[Stage] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(stages[i])
+        for child in children[i]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(ready, child)
+    if len(order) != len(stages):
         raise ValueError("stage dependencies contain a cycle")
-    # Stable topological order: break ties by submission order.
-    order = list(nx.lexicographical_topological_sort(
-        graph, key=lambda n: list(by_name).index(n)
-    ))
-    return [by_name[name] for name in order]
+    return order
 
 
 _TASK_EPS = 1e-9
@@ -184,7 +194,13 @@ class _StageTasks:
         return sum(t.work if t.done else t.work - t.work_left for t in self.tasks)
 
     def spec_inflight(self) -> float:
-        return sum(t.spec_progress() for t in self.tasks if not t.done)
+        # ``_Task.spec_progress`` inlined: this runs per stage at every
+        # checker boundary.
+        return sum(
+            (t.work - t.spec_work_left) if t.spec_runner is not None else 0.0
+            for t in self.tasks
+            if not t.done
+        )
 
     def sync_stage(self) -> None:
         """Mirror task state into the stage's fluid counters so

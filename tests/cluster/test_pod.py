@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cluster.pod import Pod, PodPhase, PodSpec, WorkloadClass
+from repro.cluster.pod import (
+    ACTIVE_PHASES,
+    TERMINAL_PHASES,
+    Pod,
+    PodPhase,
+    PodSpec,
+    WorkloadClass,
+)
 from repro.cluster.resources import ResourceVector
 from tests.conftest import make_spec
 
@@ -66,3 +73,12 @@ def test_phase_predicates(phase, active, terminal):
     pod.phase = phase
     assert pod.active is active
     assert pod.terminal is terminal
+
+
+@pytest.mark.parametrize("phase", list(PodPhase))
+def test_terminal_is_terminal_phase_membership(phase):
+    pod = Pod(make_spec(), created_at=0.0)
+    pod.phase = phase
+    assert pod.terminal == (phase in TERMINAL_PHASES)
+    assert pod.active == (phase in ACTIVE_PHASES)
+    assert not (ACTIVE_PHASES & TERMINAL_PHASES)

@@ -1,5 +1,7 @@
 """Unit + property tests for ResourceVector."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +111,38 @@ class TestPredicates:
     def test_any_negative(self):
         assert ResourceVector(-1, 0, 0, 0).any_negative()
         assert not ResourceVector(0, 0, 0, 0).any_negative()
+
+    @pytest.mark.parametrize(
+        "x,y,tolerance",
+        [
+            (math.nan, 0.0, 1e-9),
+            (math.nan, math.nan, 1e-9),
+            (0.0, math.nan, math.inf),
+            (math.inf, math.inf, 1e-9),
+            (-math.inf, -math.inf, 0.0),
+            (math.inf, -math.inf, 1e-9),
+            (math.inf, 1.0, math.inf),
+            (-0.0, 0.0, 0.0),
+            (0.0, -0.0, 1e-9),
+            (1.0, 1.0 + 1e-6, 1e-6),  # not exactly representable
+            (1.0, 1.5, 0.5),  # exactly at tolerance
+            (1.0, 1.5, 0.4999999999999999),
+            (-2.0, 2.0, 4.0),
+            (3.0, 3.0, -1.0),
+        ],
+    )
+    @pytest.mark.parametrize("field", RESOURCES)
+    def test_approx_equal_matches_all_form(self, field, x, y, tolerance):
+        def reference(a, b):
+            return all(
+                abs(getattr(a, n) - getattr(b, n)) <= tolerance for n in RESOURCES
+            )
+
+        base = ResourceVector(1.0, 2.0, 3.0, 4.0)
+        a = base.replace(**{field: x})
+        b = base.replace(**{field: y})
+        assert a.approx_equal(b, tolerance=tolerance) is reference(a, b)
+        assert b.approx_equal(a, tolerance=tolerance) is reference(b, a)
 
     def test_dominant_share(self):
         usage = ResourceVector(8, 16, 100, 100)

@@ -5,6 +5,10 @@ test pins the advertised surface so refactors cannot silently drop it.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +96,25 @@ def test_all_lists_are_accurate():
 def test_cli_module_importable():
     from repro import cli
     assert callable(cli.main)
+
+
+def test_runtime_imports_do_not_load_networkx():
+    """networkx is a test-only dependency: importing the package, the
+    arena and the fuzzer must not pull it in."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, repro, repro.arena, repro.verify.fuzzer; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

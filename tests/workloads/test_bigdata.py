@@ -1,5 +1,7 @@
 """Unit tests for the big-data DAG job model."""
 
+import random
+
 import pytest
 
 from repro.cluster.pod import PodPhase
@@ -44,6 +46,64 @@ class TestDagValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             _validate_dag([Stage("a", 1), Stage("a", 2)])
+
+    def test_self_dependency_is_a_cycle(self):
+        with pytest.raises(ValueError, match="cycle"):
+            _validate_dag([Stage("a", 1), Stage("b", 1, deps=("a", "b"))])
+
+    def test_cycle_behind_placeable_stages_rejected(self):
+        stages = [
+            Stage("src", 1),
+            Stage("x", 1, deps=("src", "z")),
+            Stage("y", 1, deps=("x",)),
+            Stage("z", 1, deps=("y",)),
+        ]
+        with pytest.raises(ValueError, match="cycle"):
+            _validate_dag(stages)
+
+    def test_repeated_dep_counts_once(self):
+        stages = [Stage("b", 1, deps=("a", "a")), Stage("a", 1)]
+        assert [s.name for s in _validate_dag(stages)] == ["a", "b"]
+
+    def test_error_precedence(self):
+        # Duplicate names are reported before unknown deps, unknown deps
+        # (first in stage then dep order) before cycles.
+        with pytest.raises(ValueError, match="duplicate"):
+            _validate_dag([Stage("a", 1, deps=("ghost",)), Stage("a", 1)])
+        with pytest.raises(ValueError, match="'b' depends on unknown 'ghost'"):
+            _validate_dag([
+                Stage("a", 1, deps=("b",)),
+                Stage("b", 1, deps=("a", "ghost", "phantom")),
+            ])
+
+    def test_returns_the_stage_objects(self):
+        stages = [Stage("b", 1, deps=("a",)), Stage("a", 1)]
+        assert [id(s) for s in _validate_dag(stages)] == [id(stages[1]), id(stages[0])]
+
+    def test_matches_networkx_lexicographical_order(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20261018)
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            names = [f"s{i}" for i in range(n)]
+            rng.shuffle(names)  # names[i] may depend only on names[:i]
+            deps = {
+                name: tuple(
+                    rng.choice(names[:i]) for _ in range(rng.randint(0, min(i, 4)))
+                )
+                for i, name in enumerate(names)
+            }
+            submitted = names[:]
+            rng.shuffle(submitted)
+            stages = [Stage(name, 1, deps=deps[name]) for name in submitted]
+            graph = nx.DiGraph()
+            graph.add_nodes_from(submitted)
+            for name in submitted:
+                graph.add_edges_from((dep, name) for dep in deps[name])
+            expected = list(
+                nx.lexicographical_topological_sort(graph, key=submitted.index)
+            )
+            assert [s.name for s in _validate_dag(stages)] == expected
 
     def test_invalid_stage_params(self):
         with pytest.raises(ValueError):
